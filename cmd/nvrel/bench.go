@@ -130,7 +130,7 @@ func cmdBench(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, _, err = gsReg.SolveDiagCtxWS(nil, m, gsWS)
+		_, _, err = gsReg.Solve(nil, gsWS, m)
 		return err
 	}
 

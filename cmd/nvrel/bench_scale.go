@@ -72,6 +72,13 @@ type scaleFamily struct {
 // per-term cost differences.
 const transientHorizon = 600.0
 
+// solveRung solves a CTMC graph on one named rung, with no fallback, so
+// each side of the race measures exactly one solver.
+func solveRung(g *petri.Graph, rung string) ([]float64, error) {
+	pi, _, err := g.Solve(nil, nil, petri.Opts{Rung: rung})
+	return pi, err
+}
+
 func scaleFamilies() []scaleFamily {
 	noRejuv := func(n int) (*petri.Graph, error) {
 		p := nvp.DefaultFourVersion()
@@ -98,8 +105,8 @@ func scaleFamilies() []scaleFamily {
 			name:   "steady-norejuv",
 			sizes:  []int{6, 10, 16, 24, 40, 60, 90, 130, 180},
 			build:  noRejuv,
-			dense:  func(g *petri.Graph) ([]float64, error) { return g.SteadyStateDenseWS(nil) },
-			sparse: func(g *petri.Graph) ([]float64, error) { return g.SteadyStateSparseWS(nil) },
+			dense:  func(g *petri.Graph) ([]float64, error) { return solveRung(g, "gth") },
+			sparse: func(g *petri.Graph) ([]float64, error) { return solveRung(g, "gs") },
 		},
 		{
 			// MRGP steady state: dense embedded-chain construction vs the
@@ -115,7 +122,7 @@ func scaleFamilies() []scaleFamily {
 				return sol.Pi, nil
 			},
 			sparse: func(g *petri.Graph) ([]float64, error) {
-				sol, err := mrgp.SolveSparseWS(nil, g)
+				sol, err := mrgp.SolveSparseSeededCtxWS(nil, nil, g, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -199,7 +199,7 @@ func cmdBenchWarmstart(output string, only string, warmRatio, agree float64, out
 		coldPis := make([][]float64, len(models))
 		coldStart := time.Now()
 		for i, m := range models {
-			pi, diag, err := m.SolveDiagCtxWS(nil, ws)
+			pi, diag, err := m.Solve(nil, ws, nvp.Opts{})
 			if err != nil {
 				return fmt.Errorf("bench -warmstart: %s cold point %d: %w", probe.name, i, err)
 			}
@@ -213,7 +213,7 @@ func cmdBenchWarmstart(output string, only string, warmRatio, agree float64, out
 		reg := nvp.NewWarmRegistry()
 		warmStart := time.Now()
 		for i, m := range models {
-			pi, diag, err := reg.SolveDiagCtxWS(nil, m, ws)
+			pi, diag, err := reg.Solve(nil, ws, m)
 			if err != nil {
 				return fmt.Errorf("bench -warmstart: %s warm point %d: %w", probe.name, i, err)
 			}

@@ -387,7 +387,7 @@ func solveChaosPoint(ctx context.Context, env chaosGridEnv, workload, j, steps i
 	ws := env.arena.Get()
 	defer env.arena.Put(ws)
 	start := time.Now()
-	pi, diag, err := env.reg.SolveDiagCtxWS(ctx, m, ws)
+	pi, diag, err := env.reg.Solve(ctx, ws, m)
 	if err != nil {
 		return 0, err
 	}

@@ -641,9 +641,12 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			ev.Cache = ""
 		}
 	}
+	// A client may shorten the solve deadline, never extend it past the
+	// server's -solve-timeout (0 = unbounded): one request must not buy
+	// unbounded CPU.
 	timeout := s.cfg.solveTimeout
-	if req.TimeoutSeconds > 0 {
-		timeout = time.Duration(req.TimeoutSeconds * float64(time.Second))
+	if c := time.Duration(req.TimeoutSeconds * float64(time.Second)); c > 0 && (timeout <= 0 || c < timeout) {
+		timeout = c
 	}
 	resp, code, err := s.solveCached(ctx, key, arch, p, timeout)
 	if err != nil {
@@ -799,9 +802,9 @@ func noteShadowSolve(ctx context.Context, source, arch string, model *nvrel.Mode
 	}
 	if model.SolverKind() == "ctmc" {
 		rec.Path = diag.Path.String()
-		if diag.Fallback != nil {
-			rec.Fallback = diag.Fallback.Error()
-		}
+	}
+	if diag.Fallback != nil {
+		rec.Fallback = diag.Fallback.Error()
 	}
 	shadow.RecordFlight(rec)
 	if ver != nil {
@@ -846,7 +849,7 @@ func (s *server) solveModel(ctx context.Context, arch string, p nvrel.Params, ws
 // groups models before solving).
 func (s *server) solveBuilt(ctx context.Context, arch string, model *nvrel.Model, ws *linalg.Workspace) (solveResult, error) {
 	solveStart := time.Now()
-	pi, diag, err := s.warmReg.SolveDiagCtxWS(ctx, model, ws)
+	pi, diag, err := s.warmReg.Solve(ctx, ws, model)
 	if err != nil {
 		return solveResult{}, err
 	}
@@ -866,12 +869,12 @@ func (s *server) solveBuilt(ctx context.Context, arch string, model *nvrel.Model
 	if res.solver == "ctmc" {
 		d.Path = diag.Path.String()
 		d.GSSweeps = diag.GSSweeps
-		if diag.Fallback != nil {
-			d.Fallback = diag.Fallback.Error()
-		}
-		for _, a := range diag.Attempts {
-			d.Attempts = append(d.Attempts, attemptJSON{Solver: a.Solver, Sweeps: a.Sweeps, Error: a.Err.Error()})
-		}
+	}
+	if diag.Fallback != nil {
+		d.Fallback = diag.Fallback.Error()
+	}
+	for _, a := range diag.Attempts {
+		d.Attempts = append(d.Attempts, attemptJSON{Solver: a.Solver, Sweeps: a.Sweeps, Error: a.Err.Error()})
 	}
 	res.diag = d
 	return res, nil

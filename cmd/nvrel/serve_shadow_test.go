@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"nvrel/internal/faultinject"
+	"nvrel/internal/linalg"
 	"nvrel/internal/obs"
 	"nvrel/internal/shadow"
 )
@@ -191,5 +194,73 @@ func TestServeShadowOffByDefault(t *testing.T) {
 	}
 	if doc := getFlight(t, ts.URL); len(doc.Flight) == 0 {
 		t.Fatal("flight recorder idle without shadowing")
+	}
+}
+
+// TestServeMrgpFallbackReachesAudit: a six-version solve whose sparse
+// rung stalls is rescued by the dense rung, and that fallback must be
+// visible end to end — in the /solve diag, in the flight record, and in
+// the fallback count `nvrel audit` replays from the flight dump. The
+// flight path stays empty (MRGP solves bucket by solver in audit).
+func TestServeMrgpFallbackReachesAudit(t *testing.T) {
+	prev := linalg.SparseThreshold
+	linalg.SparseThreshold = 1 // route the default 6v model through the sparse rung
+	t.Cleanup(func() { linalg.SparseThreshold = prev })
+	_, ts := newTestServer(t)
+	faultinject.Reset()
+	if err := faultinject.Arm(faultinject.Fault{Site: "mrgp.power.stall"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Enable()
+	t.Cleanup(func() {
+		faultinject.Disable()
+		faultinject.Reset()
+	})
+	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(`{"arch":"6v"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var sr solveResponse
+	if err := json.Unmarshal(body, &sr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/solve = %d (%v): %s", resp.StatusCode, err, body)
+	}
+	faultinject.Disable()
+	if sr.Solver != "mrgp" || sr.Diag == nil || sr.Diag.Fallback == "" || sr.Diag.Path != "" {
+		t.Fatalf("solve diag = %+v, want an mrgp fallback with no CTMC path", sr.Diag)
+	}
+	if len(sr.Diag.Attempts) != 1 || sr.Diag.Attempts[0].Solver != "sparse" {
+		t.Fatalf("attempts = %+v, want one failed sparse rung", sr.Diag.Attempts)
+	}
+
+	doc := getFlight(t, ts.URL)
+	if len(doc.Flight) != 1 || doc.Flight[0].Fallback == "" || doc.Flight[0].Path != "" {
+		t.Fatalf("flight = %+v, want one record with a fallback and no path", doc.Flight)
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	flightFile, reportFile := filepath.Join(dir, "flight.json"), filepath.Join(dir, "audit.json")
+	if err := os.WriteFile(flightFile, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err = cmdAudit([]string{"-flight", flightFile, "-max-fallback-rate", "0", "-o", reportFile}, &out)
+	if err == nil || !strings.Contains(err.Error(), "fallback rate") {
+		t.Fatalf("audit -max-fallback-rate 0 = %v, want the fallback gate to trip\n%s", err, out.String())
+	}
+	raw, err := os.ReadFile(reportFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep auditReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Flight == nil || rep.Flight.Fallbacks != 1 {
+		t.Fatalf("audit flight = %+v, want 1 fallback", rep.Flight)
 	}
 }

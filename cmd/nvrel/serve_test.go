@@ -532,3 +532,26 @@ func TestServeReadyzDrainingWins(t *testing.T) {
 		t.Errorf("/readyz drain body = %q, want \"draining\"", body)
 	}
 }
+
+// TestServeClientTimeoutCapped: a client's timeout_seconds may shorten the
+// solve deadline but never extend it past the server's -solve-timeout, so
+// a sparse 6v N=12 solve (~0.8 s) asked to run for 60 s on a 50 ms server
+// is cut off with a 504 well inside a second.
+func TestServeClientTimeoutCapped(t *testing.T) {
+	_, ts := newTestServerCfg(t, serveConfig{maxConcurrent: 2, solveTimeout: 50 * time.Millisecond})
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/solve", "application/json",
+		strings.NewReader(`{"arch":"6v","n":12,"timeout_seconds":60}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("/solve = %d after %v: %s, want 504", resp.StatusCode, elapsed, body)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("/solve took %v, want < 1s under a 50ms server deadline", elapsed)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nvrel"
+	"nvrel/internal/nvp"
 	"nvrel/internal/obs"
 	"nvrel/internal/parallel"
 	"nvrel/internal/shadow"
@@ -179,7 +180,7 @@ func cmdSweep(args []string, out io.Writer) error {
 // flight record, and offers the result to the sweep's shadow sampler.
 func solveShadowed(ctx context.Context, source, arch string, m *nvrel.Model, ver *shadow.Verifier) (float64, error) {
 	start := time.Now()
-	pi, diag, err := m.SolveDiagCtxWS(ctx, nil)
+	pi, diag, err := m.Solve(ctx, nil, nvp.Opts{})
 	if err != nil {
 		return 0, err
 	}

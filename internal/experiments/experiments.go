@@ -79,10 +79,10 @@ func evalSixWS(ws *linalg.Workspace, p nvp.Params) (float64, error) {
 // evalModel is the shared solve-and-weigh step of every experiment in this
 // package: a warm-registry solve (a passthrough for dense-routed models)
 // followed by the paper reliability summation over the solved
-// distribution — bit-identical to the one-call ExpectedPaperReliabilityWS
-// path (see ExpectedPaperReliabilityFrom).
+// distribution — bit-identical to the one-call ExpectedPaperReliability
+// path (both share one summation loop).
 func evalModel(ws *linalg.Workspace, m *nvp.Model) (float64, error) {
-	pi, _, err := warmReg.SolveDiagCtxWS(nil, m, ws)
+	pi, _, err := warmReg.Solve(nil, ws, m)
 	if err != nil {
 		return 0, err
 	}

@@ -155,7 +155,7 @@ func TestSteadyStateGSMatchesGTH(t *testing.T) {
 			}
 		}
 		got := make([]float64, n)
-		if _, err := ws.SteadyStateGS(CSRFromDense(qt), got); err != nil {
+		if _, _, _, err := ws.SteadyStateGS(nil, CSRFromDense(qt), got, nil); err != nil {
 			t.Fatalf("rep %d (n=%d): GS: %v", rep, n, err)
 		}
 		for i := range want {
@@ -242,11 +242,11 @@ func TestSteadyStateGSNoAlloc(t *testing.T) {
 	c := CSRFromDense(qt)
 	dst := make([]float64, 30)
 	ws := NewWorkspace()
-	if _, err := ws.SteadyStateGS(c, dst); err != nil {
+	if _, _, _, err := ws.SteadyStateGS(nil, c, dst, nil); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := ws.SteadyStateGS(c, dst); err != nil {
+		if _, _, _, err := ws.SteadyStateGS(nil, c, dst, nil); err != nil {
 			t.Fatalf("SteadyStateGS: %v", err)
 		}
 	})
@@ -269,13 +269,13 @@ func BenchmarkSteadyStateGSNoAlloc(b *testing.B) {
 	c := CSRFromDense(qt)
 	dst := make([]float64, 30)
 	ws := NewWorkspace()
-	if _, err := ws.SteadyStateGS(c, dst); err != nil {
+	if _, _, _, err := ws.SteadyStateGS(nil, c, dst, nil); err != nil {
 		b.Fatalf("warm-up: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ws.SteadyStateGS(c, dst); err != nil {
+		if _, _, _, err := ws.SteadyStateGS(nil, c, dst, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

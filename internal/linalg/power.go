@@ -29,27 +29,16 @@ const (
 // it survives chains that defeat both Gauss-Seidel and dense GTH, at the
 // price of rate-ratio many iterations. The result is written into dst
 // (length n); the iteration count is returned.
-func (ws *Workspace) SteadyStatePower(q *CSR, dst []float64) (iters int, err error) {
-	return ws.SteadyStatePowerCtx(nil, q, dst)
-}
-
-// SteadyStatePowerCtx is SteadyStatePower with a context: the iteration
-// checks for cancellation every 64 rounds and returns a typed
-// SolveError{Kind: FailDeadline} when the context dies. A nil context
-// never checks.
-func (ws *Workspace) SteadyStatePowerCtx(ctx context.Context, q *CSR, dst []float64) (iters int, err error) {
-	iters, _, err = ws.SteadyStatePowerSeededCtx(ctx, q, dst, nil)
-	return iters, err
-}
-
-// SteadyStatePowerSeededCtx is SteadyStatePowerCtx with an optional
-// warm-start initial guess, under the same contract as
-// SteadyStateGSSeededCtx: an ApplySeed-accepted seed replaces the uniform
-// starting vector (warm reports true), anything else reproduces the cold
-// solve bit for bit. Power iteration contracts onto the unique stationary
-// vector from any starting distribution, so the seed affects only the
-// iteration count, never the fixed point.
-func (ws *Workspace) SteadyStatePowerSeededCtx(ctx context.Context, q *CSR, dst, seed []float64) (iters int, warm bool, err error) {
+//
+// The iteration checks ctx every 64 rounds and returns a typed
+// SolveError{Kind: FailDeadline} when it dies; a nil context never
+// checks. seed is an optional warm start under the same contract as
+// SteadyStateGS: an ApplySeed-accepted seed replaces the uniform starting
+// vector (warm reports true), anything else — nil included — reproduces
+// the cold solve bit for bit. Power iteration contracts onto the unique
+// stationary vector from any starting distribution, so the seed affects
+// only the iteration count, never the fixed point.
+func (ws *Workspace) SteadyStatePower(ctx context.Context, q *CSR, dst, seed []float64) (iters int, warm bool, err error) {
 	rows, cols := q.Dims()
 	if rows != cols {
 		return 0, false, ErrDimensionMismatch

@@ -53,40 +53,21 @@ const (
 // rejected instead of iterated on), a non-finite iterate is detected the
 // sweep it appears, and an exhausted budget carries Kind FailNotConverged
 // (wrapping ErrNotConverged); callers then fall back along the chain.
-func (ws *Workspace) SteadyStateGS(qt *CSR, dst []float64) (sweeps int, err error) {
-	return ws.SteadyStateGSCtx(nil, qt, dst)
-}
-
-// SteadyStateGSCtx is SteadyStateGS with a context: the sweep loop checks
-// for cancellation every 64 sweeps and returns a typed SolveError{Kind:
-// FailDeadline} when the context dies, so a stalled solve times out
-// instead of hanging its worker. A nil context never checks.
-func (ws *Workspace) SteadyStateGSCtx(ctx context.Context, qt *CSR, dst []float64) (sweeps int, err error) {
-	sweeps, _, err = ws.SteadyStateGSSeededCtx(ctx, qt, dst, nil)
-	return sweeps, err
-}
-
-// SteadyStateGSSeededCtx is SteadyStateGSCtx with an optional warm-start
-// initial guess: when seed passes ApplySeed (right length, finite,
+//
+// The sweep loop checks ctx every 64 sweeps and returns a typed
+// SolveError{Kind: FailDeadline} when it dies, so a stalled solve times
+// out instead of hanging its worker; a nil context never checks. seed is
+// an optional warm start: when it passes ApplySeed (right length, finite,
 // non-negative, positive mass) the sweeps start from its normalized copy
 // instead of the uniform vector, and warm reports that the seed was used.
 // The convergence criterion, validation guards, and failure taxonomy are
 // identical either way — a seed only moves the starting point of an
-// iteration that contracts onto the same stationary vector, so warm and
-// cold solves agree to the solver tolerance. A nil or unusable seed
-// reproduces the cold solve bit for bit.
-func (ws *Workspace) SteadyStateGSSeededCtx(ctx context.Context, qt *CSR, dst, seed []float64) (sweeps int, warm bool, err error) {
-	sweeps, warm, _, err = ws.SteadyStateGSSeededResCtx(ctx, qt, dst, seed)
-	return sweeps, warm, err
-}
-
-// SteadyStateGSSeededResCtx is SteadyStateGSSeededCtx additionally
-// reporting the final relative L1 residual of the accepting sweep
-// (delta/norm — the same number the convergence criterion compares
-// against gsTol, zero for the trivial one-state chain). Callers thread
-// it into SolveDiag so the numerics flight recorder can rank solves by
-// how hard the acceptance band was hit.
-func (ws *Workspace) SteadyStateGSSeededResCtx(ctx context.Context, qt *CSR, dst, seed []float64) (sweeps int, warm bool, residual float64, err error) {
+// iteration that contracts onto the same stationary vector — and a nil or
+// unusable seed reproduces the cold solve bit for bit. residual is the
+// final relative L1 residual of the accepting sweep (delta/norm, the
+// number compared against gsTol; zero for the one-state chain), which
+// callers thread into SolveDiag for the numerics flight recorder.
+func (ws *Workspace) SteadyStateGS(ctx context.Context, qt *CSR, dst, seed []float64) (sweeps int, warm bool, residual float64, err error) {
 	rows, cols := qt.Dims()
 	if rows != cols {
 		return 0, false, 0, ErrDimensionMismatch

@@ -36,27 +36,22 @@ var ErrNoTimedTransitions = errors.New("mrgp: absorbing tangible marking (no tim
 // method reduces exactly to the clock-synchronous solver in Solve; Solve
 // remains available because its regeneration period (the full clock
 // period) is longer and therefore cheaper and better conditioned.
-func SolveGeneral(g *petri.Graph) (*Solution, error) {
-	return SolveGeneralWS(nil, g)
-}
-
-// SolveGeneralCtxWS is SolveGeneralWS with a context, used only for span
-// parenting: the general solver has no iterative kernels worth
-// cancelling, but its span must still nest under the caller's solve span
-// so 6v ClockWaitsForWave traces stay one tree.
-func SolveGeneralCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph) (sol *Solution, err error) {
+//
+// The formulation has no iterative kernels worth cancelling and no
+// fallback; ctx only parents the mrgp.solve.general span, so 6v
+// ClockWaitsForWave traces stay one tree. Scratch comes from ws (nil
+// allocates).
+func SolveGeneral(ctx context.Context, ws *linalg.Workspace, g *petri.Graph) (sol *Solution, err error) {
 	_, sp := obs.StartSpan(ctx, "mrgp.solve.general")
 	sp.Int("states", int64(g.NumStates()))
 	defer func() {
 		sp.Err(err)
 		sp.End()
 	}()
-	return SolveGeneralWS(ws, g)
+	return solveGeneral(ws, g)
 }
 
-// SolveGeneralWS is the workspace-backed form of SolveGeneral; see SolveWS
-// for the reuse contract.
-func SolveGeneralWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
+func solveGeneral(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	n := g.NumStates()
 	if n == 0 {
 		return nil, petri.ErrNoStates
@@ -197,14 +192,4 @@ func SolveGeneralWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 		return nil, err
 	}
 	return sol, nil
-}
-
-// ExpectedRewardGeneral computes the steady-state expected reward via the
-// general solver.
-func ExpectedRewardGeneral(g *petri.Graph, f petri.RewardFn) (float64, error) {
-	sol, err := SolveGeneral(g)
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Dot(sol.Pi, g.RewardVector(f))
 }

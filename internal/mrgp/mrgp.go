@@ -31,7 +31,7 @@ import (
 // Solver errors.
 var (
 	// ErrNoDeterministic is returned for graphs without any deterministic
-	// transition; use Graph.SteadyState instead.
+	// transition; use Graph.Solve instead.
 	ErrNoDeterministic = errors.New("mrgp: graph has no deterministic transition")
 
 	// ErrClockNotAlwaysEnabled is returned when some tangible marking does
@@ -67,26 +67,46 @@ type Solution struct {
 
 const truncationEpsilon = 1e-12
 
-// Solve computes the steady-state distribution of the tangible reachability
-// graph g, which must enable one deterministic transition (with one common
-// delay) in every tangible state.
-func Solve(g *petri.Graph) (*Solution, error) {
-	return SolveWS(nil, g)
+// Opts selects how Solve runs.
+type Opts struct {
+	// Seed is an optional warm-start vector for the embedded-chain
+	// stationary vector (a previous Solution's Embedded from a Restamp
+	// sibling of the graph). Only the sparse rung consumes it; the dense
+	// rung ignores it, so a nil seed reproduces the cold solve bit for bit.
+	Seed []float64
+	// Rung names one formulation to run with no size routing and no
+	// fallback: "sparse" (matrix-free uniformized series + embedded power
+	// iteration) or "dense" (dense transient pair + GTH on the embedded
+	// chain). A failing rung surfaces its typed error, which is what a
+	// shadow re-solve needs. Empty routes by size and runs the ladder.
+	Rung string
 }
 
-// SolveWS is the workspace-backed form of Solve: all scratch matrices and
-// Poisson weight vectors come from ws, so sweeping a parameter over the
-// same model solves allocation-free after the first point. The returned
-// Solution owns its vectors either way.
-//
-// State spaces of linalg.SparseThreshold states or more route through the
-// matrix-free sparse solver (SolveSparseWS), falling back to the dense
-// path when the sparse path fails for any recoverable reason; smaller
-// ones solve dense directly, float-for-float identical to Solve has
-// always been.
-func SolveWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
-	return SolveCtxWS(nil, ws, g)
+// rungState carries one solve through the ladder.
+type rungState struct {
+	g    *petri.Graph
+	ws   *linalg.Workspace
+	seed []float64
+	sol  *Solution
 }
+
+// The rung table. State spaces of linalg.SparseThreshold states or more
+// run sparse -> dense, falling back on any recoverable typed failure (not
+// only convergence); smaller ones solve dense directly. Model-class
+// failures the dense path would hit identically stop the ladder.
+var (
+	rungSparse = linalg.Rung[*rungState]{Name: "sparse", Span: "mrgp.rung.sparse", Site: "mrgp.solve.sparse", Run: solveSparse}
+	rungDense  = linalg.Rung[*rungState]{Name: "dense", Span: "mrgp.rung.dense", Site: "mrgp.solve.dense", Run: solveDense}
+
+	sparseLadder = linalg.Ladder[*rungState]{Rungs: []linalg.Rung[*rungState]{rungSparse, rungDense}, Check: checkSolution, Structural: isStructuralErr}
+	denseLadder  = linalg.Ladder[*rungState]{Rungs: []linalg.Rung[*rungState]{rungDense}, Check: checkSolution, Structural: isStructuralErr}
+
+	// Paths by the index of the rung that answered; named-rung solves
+	// look their rung up in sparseLadder.
+	sparsePaths = []petri.SolvePath{petri.PathSparse, petri.PathSparseFallbackDense}
+	densePaths  = []petri.SolvePath{petri.PathDense}
+	namedPaths  = []petri.SolvePath{petri.PathSparse, petri.PathDense}
+)
 
 // isStructuralErr reports model-class failures the dense path would hit
 // identically, so falling back cannot recover them.
@@ -97,132 +117,89 @@ func isStructuralErr(err error) bool {
 		errors.Is(err, ErrMixedClocks)
 }
 
-// isDeadline reports whether err is a typed deadline failure; the fallback
-// must not rerun a slower solver against an expired clock.
-func isDeadline(err error) bool {
-	se, ok := linalg.AsSolveError(err)
-	return ok && se.Kind == linalg.FailDeadline
+// checkSolution is the ladder's result guard (see validateSolution).
+func checkSolution(site string, s *rungState) error { return validateSolution(site, s.sol) }
+
+func solveSparse(ctx context.Context, s *rungState) (int, error) {
+	var err error
+	s.sol, err = SolveSparseSeededCtxWS(ctx, s.ws, s.g, s.seed)
+	return 0, err
 }
 
-// SolveCtxWS is the hardened MRGP entry point: size routing, panic
-// recovery around both kernels, a distribution guard on every candidate
-// result, and a sparse -> dense fallback driven by any recoverable typed
-// failure (not only convergence). The routed_dense/routed_sparse counters
-// record the routing decision; recovered_dense records dense successes
-// that followed a sparse failure, so observability can tell "small model,
-// dense by design" apart from "sparse path failed and was rescued".
-func SolveCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
-	return SolveSeededCtxWS(ctx, ws, g, nil)
+func solveDense(ctx context.Context, s *rungState) (int, error) {
+	if err := linalg.CtxError("mrgp.solve.dense", ctx); err != nil {
+		return 0, err
+	}
+	var err error
+	s.sol, err = SolveDenseWS(s.ws, s.g)
+	return 0, err
 }
 
-// SolveSeededCtxWS is SolveCtxWS with an optional warm-start seed for the
-// embedded-chain stationary vector (a previous Solution's Embedded from a
-// Restamp sibling of g). Only the first sparse rung consumes the seed; the
-// dense fallback and the dense-by-size route ignore it entirely, so chain
-// semantics and the direct paths are untouched and a nil seed reproduces
-// SolveCtxWS bit for bit.
-func SolveSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed []float64) (*Solution, error) {
+// Solve computes the steady-state distribution of the tangible
+// reachability graph g, which must enable one deterministic transition
+// (with one common delay) in every tangible state. All scratch comes from
+// ws (nil allocates), so sweeping a parameter over one model solves
+// allocation-light after the first point; the returned Solution owns its
+// vectors either way.
+//
+// It is the hardened entry point: size routing, panic recovery around
+// both rungs, a distribution guard on every candidate result, and a
+// sparse -> dense fallback. The diag reports the path taken, the failed
+// rungs, the embedded power cycles (in PowerIters) and whether the seed
+// was used. The routed_dense/routed_sparse counters record the routing
+// decision; recovered_dense records dense successes that followed a
+// sparse failure, so observability can tell "small model, dense by
+// design" apart from "sparse path failed and was rescued".
+func Solve(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, o Opts) (*Solution, petri.SolveDiag, error) {
 	ctx, sp := obs.StartSpan(ctx, "mrgp.solve")
 	defer sp.End()
 	sp.Int("states", int64(g.NumStates()))
+	diag := petri.SolveDiag{States: g.NumStates()}
 	if err := linalg.CtxError("mrgp.solve", ctx); err != nil {
 		sp.Err(err)
-		return nil, err
+		return nil, diag, err
 	}
-	if g.NumStates() >= linalg.SparseThreshold {
+	ladder, paths := &denseLadder, densePaths
+	switch {
+	case o.Rung != "":
+		ladder, paths = &sparseLadder, namedPaths
+	case g.NumStates() >= linalg.SparseThreshold:
+		ladder, paths = &sparseLadder, sparsePaths
 		metRoutedSparse.Inc()
 		sp.Str("routed", "sparse")
-		sol, err := solveSparseGuarded(ctx, ws, g, seed)
-		if err == nil {
-			sp.Int("cycles", int64(sol.Cycles)).
-				Str("seeded", map[bool]string{false: "cold", true: "warm"}[sol.Warm])
-			return sol, nil
-		}
-		if isStructuralErr(err) || isDeadline(err) {
-			sp.Err(err)
-			return nil, err
-		}
+	default:
+		metRoutedDense.Inc()
+		sp.Str("routed", "dense")
+	}
+	st := &rungState{g: g, ws: ws, seed: o.Seed}
+	last, attempts, err := ladder.Run(ctx, st, o.Rung)
+	if last < 0 {
+		err = fmt.Errorf("mrgp: %w", err)
+		sp.Err(err)
+		return nil, diag, err
+	}
+	diag.Path = paths[last]
+	diag.Attempts = attempts
+	if len(attempts) > 0 {
+		diag.Fallback = attempts[0].Err
+	}
+	if o.Rung == "" && last > 0 {
 		metSolveFallback.Inc()
-		sol, derr := solveDenseGuarded(ctx, ws, g)
-		if derr == nil {
+		if err == nil {
 			metRecoveredDense.Inc()
 			sp.Str("recovered", "dense")
-			return sol, nil
 		}
-		sp.Err(derr)
-		return nil, derr
 	}
-	metRoutedDense.Inc()
-	sp.Str("routed", "dense")
-	sol, err := solveDenseGuarded(ctx, ws, g)
-	sp.Err(err)
-	return sol, err
-}
-
-// solveSparseGuarded runs one sparse attempt with panic recovery and
-// result guards on both output distributions.
-func solveSparseGuarded(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, seed []float64) (sol *Solution, err error) {
-	ctx, sp := obs.StartSpan(ctx, "mrgp.rung.sparse")
-	defer func() {
+	if err != nil {
 		sp.Err(err)
-		sp.End()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			sol, err = nil, linalg.NewPanicError("mrgp.solve.sparse", r)
-		}
-	}()
-	sol, err = SolveSparseSeededCtxWS(ctx, ws, g, seed)
-	if err == nil {
-		if verr := validateSolution("mrgp.solve.sparse", sol); verr != nil {
-			return nil, verr
-		}
+		return nil, diag, err
 	}
-	return sol, err
-}
-
-// solveDenseGuarded runs one dense attempt with panic recovery and result
-// guards.
-func solveDenseGuarded(ctx context.Context, ws *linalg.Workspace, g *petri.Graph) (sol *Solution, err error) {
-	_, sp := obs.StartSpan(ctx, "mrgp.rung.dense")
-	defer func() {
-		sp.Err(err)
-		sp.End()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			sol, err = nil, linalg.NewPanicError("mrgp.solve.dense", r)
-		}
-	}()
-	if err := linalg.CtxError("mrgp.solve.dense", ctx); err != nil {
-		return nil, err
+	diag.PowerIters, diag.Seeded = st.sol.Cycles, st.sol.Warm
+	if diag.Path == petri.PathSparse {
+		sp.Int("cycles", int64(st.sol.Cycles)).
+			Str("seeded", map[bool]string{false: "cold", true: "warm"}[st.sol.Warm])
 	}
-	sol, err = SolveDenseWS(ws, g)
-	if err == nil {
-		if verr := validateSolution("mrgp.solve.dense", sol); verr != nil {
-			return nil, verr
-		}
-	}
-	return sol, err
-}
-
-// SolveRungCtxWS runs exactly one MRGP formulation — "dense" (dense
-// transient pair + GTH on the embedded chain) or "sparse" (matrix-free
-// uniformized series + embedded power iteration) — with NO size routing
-// and NO fallback: a failing rung surfaces its typed error. Like
-// petri.Graph.SteadyStateRungCtxWS it exists for shadow verification,
-// where the re-solve must stay on the path independent of the one that
-// produced the primary answer. Both rungs keep the guarded panic
-// recovery and result validation of the hardened entry point.
-func SolveRungCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph, rung string) (*Solution, error) {
-	switch rung {
-	case "dense":
-		return solveDenseGuarded(ctx, ws, g)
-	case "sparse":
-		return solveSparseGuarded(ctx, ws, g, nil)
-	default:
-		return nil, fmt.Errorf("mrgp: unknown solver rung %q (want dense or sparse)", rung)
-	}
+	return st.sol, diag, nil
 }
 
 // validateSolution guards both output vectors of a Solution: the
@@ -295,16 +272,6 @@ func SolveDenseWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
 	linalg.Normalize(occupancy)
 
 	return &Solution{Pi: occupancy, Embedded: sigma, Delay: delay}, nil
-}
-
-// ExpectedReward computes the steady-state expected reward of a clocked
-// DSPN graph under the given rate-reward function.
-func ExpectedReward(g *petri.Graph, f petri.RewardFn) (float64, error) {
-	sol, err := Solve(g)
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Dot(sol.Pi, g.RewardVector(f))
 }
 
 // embeddedStationary solves sigma = sigma * P for the embedded chain. The

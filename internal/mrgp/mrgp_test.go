@@ -69,7 +69,7 @@ func TestSolveRejuvenationToy(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			n := buildRejuvenationToy(t, tt.lambda, tt.tau)
 			g := explore(t, n)
-			sol, err := Solve(g)
+			sol, _, err := Solve(nil, nil, g, Opts{})
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
@@ -141,7 +141,7 @@ func TestSolveIdentityClockMatchesCTMC(t *testing.T) {
 	)
 	n := buildIdentityClock(t, k, lam, mu, tau)
 	g := explore(t, n)
-	sol, err := Solve(g)
+	sol, _, err := Solve(nil, nil, g, Opts{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestSolveIdentityClockMatchesCTMC(t *testing.T) {
 func TestSolvePiIsDistribution(t *testing.T) {
 	n := buildRejuvenationToy(t, 0.7, 2.3)
 	g := explore(t, n)
-	sol, err := Solve(g)
+	sol, _, err := Solve(nil, nil, g, Opts{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -183,11 +183,15 @@ func TestExpectedReward(t *testing.T) {
 	)
 	n := buildRejuvenationToy(t, lambda, tau)
 	g := explore(t, n)
-	got, err := ExpectedReward(g, func(m petri.Marking) float64 {
-		return float64(m[0]) // 1 while fresh
-	})
+	sol, _, err := Solve(nil, nil, g, Opts{})
 	if err != nil {
-		t.Fatalf("ExpectedReward: %v", err)
+		t.Fatalf("Solve: %v", err)
+	}
+	got, err := linalg.Dot(sol.Pi, g.RewardVector(func(m petri.Marking) float64 {
+		return float64(m[0]) // 1 while fresh
+	}))
+	if err != nil {
+		t.Fatalf("Dot: %v", err)
 	}
 	want := (1 - math.Exp(-lambda*tau)) / (lambda * tau)
 	if math.Abs(got-want) > 1e-9 {
@@ -214,7 +218,7 @@ func TestSolveRejectsPureCTMC(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	g := explore(t, n)
-	if _, err := Solve(g); !errors.Is(err, ErrNoDeterministic) {
+	if _, _, err := Solve(nil, nil, g, Opts{}); !errors.Is(err, ErrNoDeterministic) {
 		t.Errorf("err = %v, want ErrNoDeterministic", err)
 	}
 }
@@ -245,7 +249,7 @@ func TestSolveRejectsPartiallyEnabledClock(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	g := explore(t, n)
-	if _, err := Solve(g); !errors.Is(err, ErrClockNotAlwaysEnabled) {
+	if _, _, err := Solve(nil, nil, g, Opts{}); !errors.Is(err, ErrClockNotAlwaysEnabled) {
 		t.Errorf("err = %v, want ErrClockNotAlwaysEnabled", err)
 	}
 }
@@ -271,7 +275,7 @@ func TestSolveRejectsMixedDelays(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	g := explore(t, n)
-	if _, err := Solve(g); !errors.Is(err, ErrMixedClocks) {
+	if _, _, err := Solve(nil, nil, g, Opts{}); !errors.Is(err, ErrMixedClocks) {
 		t.Errorf("err = %v, want ErrMixedClocks", err)
 	}
 }
@@ -286,7 +290,7 @@ func TestSolveToyMonotoneInTau(t *testing.T) {
 	for _, tau := range []float64{0.25, 0.5, 1, 2, 4, 8, 16} {
 		n := buildRejuvenationToy(t, lambda, tau)
 		g := explore(t, n)
-		sol, err := Solve(g)
+		sol, _, err := Solve(nil, nil, g, Opts{})
 		if err != nil {
 			t.Fatalf("tau=%g: %v", tau, err)
 		}

@@ -11,6 +11,6 @@ var (
 	// sparse -> dense recovery fallback.
 	fiPowerStall = faultinject.SiteFor("mrgp.power.stall")
 	// fiMrgpPanic panics inside the embedded-chain cycle loop, exercising
-	// the recover-and-fall-back layer of SolveCtxWS.
+	// the recover-and-fall-back layer of Solve.
 	fiMrgpPanic = faultinject.SiteFor("mrgp.kernel.panic")
 )

@@ -20,9 +20,10 @@ const (
 	embMaxCycles = 50000
 )
 
-// SolveSparseWS computes the steady state of a clocked DSPN without ever
-// materializing a dense matrix. The embedded chain P = e^{Q tau} D is
-// never formed: its stationary vector is found by power iteration
+// SolveSparseSeededCtxWS computes the steady state of a clocked DSPN
+// without ever materializing a dense matrix. The embedded chain
+// P = e^{Q tau} D is never formed: its stationary vector is found by
+// power iteration
 //
 //	v <- normalize((v * e^{Q tau}) * D)
 //
@@ -38,24 +39,16 @@ const (
 // Memory is O(nnz + n) against the dense path's O(n^2), and a cycle costs
 // O(rate*tau) sparse matvecs, so the solver reaches state spaces the
 // dense path cannot hold. linalg.ErrNotConverged (wrapped) signals the
-// caller to fall back to SolveDenseWS.
-func SolveSparseWS(ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
-	return SolveSparseCtxWS(nil, ws, g)
-}
-
-// SolveSparseCtxWS is SolveSparseWS with a context: the cycle loop checks
-// for cancellation once per embedded-chain cycle (each cycle is a full
-// uniformization series, so the check granularity is coarse but the cost
-// per check is negligible) and returns a typed SolveError{Kind:
-// FailDeadline} when the context dies. A nil context never checks.
-func SolveSparseCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.Graph) (*Solution, error) {
-	return SolveSparseSeededCtxWS(ctx, ws, g, nil)
-}
-
-// SolveSparseSeededCtxWS is SolveSparseCtxWS with an optional warm-start
-// seed for the embedded-chain power iteration: a seed accepted by
-// linalg.ApplySeed (right length, finite, non-negative, positive mass)
-// replaces the uniform starting vector — typically the Embedded vector of
+// caller to fall back to SolveDenseWS. It is the sparse rung of Solve.
+//
+// The cycle loop checks ctx once per embedded-chain cycle (each cycle is
+// a full uniformization series, so the check granularity is coarse but
+// the cost per check is negligible) and returns a typed SolveError{Kind:
+// FailDeadline} when it dies; a nil context never checks.
+//
+// seed is an optional warm start for the embedded-chain power iteration:
+// a seed accepted by linalg.ApplySeed (right length, finite,
+// non-negative, positive mass) replaces the uniform starting vector — typically the Embedded vector of
 // a neighboring parameter point on the same topology. The iteration
 // contracts onto the stationary vector of the unique closed class of
 // P = e^{Q tau} D from any starting distribution with mass on it, and any
@@ -113,7 +106,14 @@ func SolveSparseSeededCtxWS(ctx context.Context, ws *linalg.Workspace, g *petri.
 			return
 		}
 		kspEnded = true
-		ksp.Int("cycles", int64(cycles)).Int("nnz", int64(q.NNZ())).Float("residual", lastDelta).Err(err)
+		ksp.Int("cycles", int64(cycles)).Int("nnz", int64(q.NNZ()))
+		// No residual before the first cycle completes: its +Inf start
+		// value has no JSON encoding and would blank the whole /solve
+		// reply that carries this span.
+		if cycles > 0 {
+			ksp.Float("residual", lastDelta)
+		}
+		ksp.Err(err)
 		ksp.End()
 	}
 	defer endEmbedded(nil)

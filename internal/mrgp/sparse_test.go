@@ -83,7 +83,7 @@ func TestSolveSparseMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
-			got, err := SolveSparseWS(ws, g)
+			got, err := SolveSparseSeededCtxWS(nil, ws, g, nil)
 			if err != nil {
 				t.Fatalf("sparse: %v", err)
 			}
@@ -102,7 +102,7 @@ func TestSolveSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSolveRoutesThroughSparse: above the threshold SolveWS must produce
+// TestSolveRoutesThroughSparse: above the threshold Solve must produce
 // the sparse result; the two paths already agree to 1e-12, so just pin the
 // routing by lowering the threshold.
 func TestSolveRoutesThroughSparse(t *testing.T) {
@@ -111,12 +111,12 @@ func TestSolveRoutesThroughSparse(t *testing.T) {
 	defer func() { linalg.SparseThreshold = prev }()
 
 	linalg.SparseThreshold = 1 << 30
-	dense, err := SolveWS(nil, g)
+	dense, _, err := Solve(nil, nil, g, Opts{})
 	if err != nil {
 		t.Fatalf("dense route: %v", err)
 	}
 	linalg.SparseThreshold = 1
-	sparse, err := SolveWS(nil, g)
+	sparse, _, err := Solve(nil, nil, g, Opts{})
 	if err != nil {
 		t.Fatalf("sparse route: %v", err)
 	}

@@ -32,7 +32,7 @@ func TestParseMM1KAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	pi, err := g.SteadyState()
+	pi, _, err := g.Solve(nil, nil, petri.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ transition restoreFresh immediate weight=1 priority=1 guard="#deg == 0" in=resto
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	sol, err := mrgp.Solve(g)
+	sol, _, err := mrgp.Solve(nil, nil, g, mrgp.Opts{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -24,7 +24,7 @@ func TestSolveGuardsResultNaN(t *testing.T) {
 		faultinject.Disable()
 		faultinject.Reset()
 	}()
-	_, err = m.Solve()
+	_, _, err = m.Solve(nil, nil, Opts{})
 	se, ok := linalg.AsSolveError(err)
 	if !ok || se.Kind != linalg.FailNaN || se.Site != "nvp.solve" {
 		t.Fatalf("poisoned result gave %v, want typed NaN at nvp.solve", err)

@@ -319,32 +319,6 @@ func (m *Model) classify(mk petri.Marking) (healthy, compromised, down int) {
 	return healthy, compromised, down
 }
 
-// Solve returns the steady-state distribution over tangible states using
-// the solver appropriate to the architecture: GTH on the CTMC without
-// rejuvenation, the clock-synchronous Markov-regenerative solver for the
-// free-running clock, and the general Markov-regenerative solver when the
-// clock stops during rejuvenation waves.
-func (m *Model) Solve() ([]float64, error) {
-	return m.SolveWS(nil)
-}
-
-// SolveWS is the workspace-backed form of Solve: all solver scratch comes
-// from ws, making repeated solves over same-sized models allocation-light.
-// The result is float-for-float identical to Solve. A workspace must not be
-// shared between goroutines.
-func (m *Model) SolveWS(ws *linalg.Workspace) ([]float64, error) {
-	return m.SolveCtxWS(nil, ws)
-}
-
-// SolveCtxWS is SolveWS with a context deadline threaded through the
-// underlying solvers, plus a final distribution guard: whatever path
-// produced the vector, it is validated (finite, non-negative, simplex)
-// before any caller computes a reliability number from it.
-func (m *Model) SolveCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, error) {
-	pi, _, err := m.SolveDiagCtxWS(ctx, ws)
-	return pi, err
-}
-
 // SolverKind names the solver the architecture and clock policy route to:
 // "ctmc" (GTH/GS on the plain CTMC), "mrgp" (clock-synchronous
 // Markov-regenerative), or "mrgp-general" (waits-for-wave clock).
@@ -359,173 +333,173 @@ func (m *Model) SolverKind() string {
 	}
 }
 
-// SolveDiagCtxWS solves like SolveCtxWS and additionally reports the
-// petri.SolveDiag for the CTMC architecture (path taken, GS sweeps,
-// fallback attempts). The Markov-regenerative architectures have no
-// per-rung diagnostics struct; they report only the state count.
+// Opts selects how Model.Solve runs.
+type Opts struct {
+	// Seed is an optional warm-start vector. What it means depends on the
+	// routed solver: the previous stationary distribution pi for the CTMC
+	// architecture, the previous embedded-chain vector for the
+	// clock-synchronous Markov-regenerative one; the general
+	// (waits-for-wave) solver ignores it. A nil seed reproduces the cold
+	// solve bit for bit. Callers normally go through WarmRegistry.Solve,
+	// which pairs each solve with the matching iterate automatically.
+	Seed []float64
+	// Rung names one solver rung to run with no fallback: "gs", "gth" or
+	// "power" for the CTMC architecture, "mrgp-dense" or "mrgp-sparse" for
+	// the clock-synchronous one. Empty routes to the architecture's
+	// solver and runs its full fallback ladder.
+	Rung string
+}
+
+// rungSolver maps each named rung to the SolverKind it needs.
+var rungSolver = map[string]string{
+	"gs": "ctmc", "gth": "ctmc", "power": "ctmc",
+	"mrgp-dense": "mrgp", "mrgp-sparse": "mrgp",
+}
+
+// Solve returns the steady-state distribution over tangible states using
+// the solver appropriate to the architecture: the CTMC ladder without
+// rejuvenation, the clock-synchronous Markov-regenerative solver for the
+// free-running clock, and the general Markov-regenerative solver when the
+// clock stops during rejuvenation waves. The diag reports the path, the
+// iterative work and every failed rung; the general solver reports only
+// the state count.
+//
+// ctx bounds the solve (nil never expires); scratch comes from ws (nil
+// allocates, and a workspace must not be shared between goroutines).
+// Whatever path produced the vector, it passes a final distribution guard
+// before any caller computes a reliability number from it.
+func (m *Model) Solve(ctx context.Context, ws *linalg.Workspace, o Opts) ([]float64, petri.SolveDiag, error) {
+	pi, _, diag, err := m.solve(ctx, ws, o)
+	return pi, diag, err
+}
+
+// SolveDiagCtxWS is Solve with default options. It is kept only for the
+// perfbench module, which calls it by name.
 func (m *Model) SolveDiagCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, petri.SolveDiag, error) {
-	pi, _, diag, err := m.solveSeededDiagCtxWS(ctx, ws, nil)
-	return pi, diag, err
+	return m.Solve(ctx, ws, Opts{})
 }
 
-// SolveSeededDiagCtxWS is SolveDiagCtxWS with an optional warm-start seed.
-// What the seed means depends on the routed solver: the previous stationary
-// distribution pi for the CTMC architecture, the previous embedded-chain
-// vector for the clock-synchronous Markov-regenerative path. The general
-// (waits-for-wave) solver ignores seeds. A nil seed reproduces
-// SolveDiagCtxWS bit for bit; callers normally go through
-// WarmRegistry.SolveDiagCtxWS, which pairs each solve with the matching
-// iterate automatically.
-func (m *Model) SolveSeededDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, petri.SolveDiag, error) {
-	pi, _, diag, err := m.solveSeededDiagCtxWS(ctx, ws, seed)
-	return pi, diag, err
+// SolveRungCtxWS is Solve on one named rung, returning the rung's
+// iterative work. It is kept only for the perfbench module, which calls it
+// by name.
+func (m *Model) SolveRungCtxWS(ctx context.Context, ws *linalg.Workspace, rung string) ([]float64, int, error) {
+	pi, diag, err := m.Solve(ctx, ws, Opts{Rung: rung})
+	return pi, diag.Iterations(), err
 }
 
-// solveSeededDiagCtxWS additionally returns the iterate vector a future
-// warm start should begin from — pi itself on the CTMC path, the embedded
-// vector on the Markov-regenerative path, nil where seeding is
-// unsupported.
-func (m *Model) solveSeededDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, []float64, petri.SolveDiag, error) {
-	ctx, sp := obs.StartSpan(ctx, "nvp.solve")
-	sp.Str("arch", m.Arch.String()).Str("solver", m.SolverKind())
-	var (
-		pi      []float64
-		iterate []float64
-		diag    petri.SolveDiag
-		err     error
-	)
-	if m.Arch != WithRejuvenation {
-		pi, diag, err = m.Graph.SteadyStateSeededDiagCtxWS(ctx, ws, seed)
-		iterate = pi
-	} else if m.Params.Clock == ClockWaitsForWave {
-		diag = petri.SolveDiag{States: m.Graph.NumStates()}
-		var sol *mrgp.Solution
-		sol, err = mrgp.SolveGeneralCtxWS(ctx, ws, m.Graph)
-		if sol != nil {
-			pi = sol.Pi
-		}
+// solve additionally returns the iterate vector a future warm start
+// should begin from — pi itself on the CTMC path, the embedded vector on
+// the Markov-regenerative path, nil where seeding is unsupported.
+func (m *Model) solve(ctx context.Context, ws *linalg.Workspace, o Opts) (pi, iterate []float64, diag petri.SolveDiag, err error) {
+	site := "nvp.solve"
+	if o.Rung != "" {
+		site = "nvp.solve.rung"
+	}
+	ctx, sp := obs.StartSpan(ctx, site)
+	defer func() {
+		sp.Err(err)
+		sp.End()
+	}()
+	sp.Str("arch", m.Arch.String())
+	kind := m.SolverKind()
+	if o.Rung == "" {
+		sp.Str("solver", kind)
 	} else {
+		sp.Str("rung", o.Rung)
+		switch want, ok := rungSolver[o.Rung]; {
+		case !ok:
+			return nil, nil, diag, fmt.Errorf("nvp: unknown solver rung %q", o.Rung)
+		case want != kind:
+			return nil, nil, diag, fmt.Errorf("nvp: rung %q needs the %s architecture, model solves via %s", o.Rung, want, kind)
+		}
+	}
+	var sol *mrgp.Solution
+	switch kind {
+	case "ctmc":
+		pi, diag, err = m.Graph.Solve(ctx, ws, petri.Opts{Seed: o.Seed, Rung: o.Rung})
+		iterate = pi
+	case "mrgp-general":
 		diag = petri.SolveDiag{States: m.Graph.NumStates()}
-		var sol *mrgp.Solution
-		sol, err = mrgp.SolveSeededCtxWS(ctx, ws, m.Graph, seed)
-		if sol != nil {
-			pi = sol.Pi
+		sol, err = mrgp.SolveGeneral(ctx, ws, m.Graph)
+	default:
+		sol, diag, err = mrgp.Solve(ctx, ws, m.Graph, mrgp.Opts{Seed: o.Seed, Rung: strings.TrimPrefix(o.Rung, "mrgp-")})
+	}
+	if sol != nil {
+		pi = sol.Pi
+		if kind == "mrgp" {
 			iterate = sol.Embedded
-			// The embedded power cycles are this path's iterative work;
-			// surface them in the power slot so SolveDiag.Iterations()
-			// measures both architectures uniformly.
-			diag.PowerIters = sol.Cycles
-			diag.Seeded = sol.Warm
 		}
 	}
 	if err != nil {
-		sp.Err(err)
-		sp.End()
 		return nil, nil, diag, err
 	}
-	if faultinject.Enabled() && fiResultNaN.Fire() && len(pi) > 0 {
+	if o.Rung == "" && faultinject.Enabled() && fiResultNaN.Fire() && len(pi) > 0 {
 		pi[0] = math.NaN()
 	}
-	if err := linalg.ValidateDistribution("nvp.solve", pi); err != nil {
-		sp.Err(err)
-		sp.End()
+	if err := linalg.ValidateDistribution(site, pi); err != nil {
 		return nil, nil, diag, err
 	}
-	sp.Int("states", int64(diag.States))
-	sp.End()
+	if o.Rung == "" {
+		sp.Int("states", int64(diag.States))
+	}
 	return pi, iterate, diag, nil
+}
+
+// shadowKey indexes the path-diversity matrix by the routed solver and
+// the path that produced the primary result.
+type shadowKey struct {
+	solver string
+	path   petri.SolvePath
+}
+
+// shadowPair is one row of the matrix: the label of the primary path
+// (the per-pair agreement histograms are named after it) and the rung an
+// independent re-solve runs on.
+type shadowPair struct {
+	primary, rung string
+}
+
+// shadowMatrix is the diversity matrix (DESIGN.md §14). For the CTMC
+// architecture sparse GS is cross-checked by dense GTH, dense GTH by
+// uniformized power, a GS→GTH fallback by power, and a GTH→power fallback
+// by GS; a solve that already fell all the way to power has no rung left.
+// For the clock-synchronous MRGP architecture the sparse embedded-chain
+// solution is cross-checked by the dense formulation and a dense answer
+// (by size or by fallback) by the sparse one. The general (waits-for-wave)
+// solver has a single formulation and no rows.
+var shadowMatrix = map[shadowKey]shadowPair{
+	{"ctmc", petri.PathSparse}:              {"sparse", "gth"},
+	{"ctmc", petri.PathDense}:               {"dense", "power"},
+	{"ctmc", petri.PathSparseFallbackDense}: {"sparse-fallback-dense", "power"},
+	{"ctmc", petri.PathDenseFallbackPower}:  {"dense-fallback-power", "gs"},
+	{"ctmc", petri.PathSparseFallbackPower}: {"sparse-fallback-power", ""},
+	{"mrgp", petri.PathSparse}:              {"mrgp-sparse", "mrgp-dense"},
+	{"mrgp", petri.PathDense}:               {"mrgp-dense", "mrgp-sparse"},
+	{"mrgp", petri.PathSparseFallbackDense}: {"mrgp-dense", "mrgp-sparse"},
 }
 
 // ShadowRung names the solver rung a shadow verification should re-solve
 // this model on: a path deliberately different from — and numerically
 // independent of — the one that produced the primary result (described
 // by diag). Empty means no independent rung remains (the primary answer
-// already consumed the whole chain, or the architecture has no second
+// already consumed the whole ladder, or the architecture has no second
 // formulation), in which case the shadow layer counts the solve as
 // skipped rather than comparing a path against itself.
-//
-// The diversity matrix (DESIGN.md §14): for the CTMC architecture,
-// sparse GS is cross-checked by dense GTH, dense GTH by uniformized
-// power, a GS→GTH fallback by power, and a GTH→power fallback by GS; a
-// solve that already fell all the way to power has no rung left. For
-// the clock-synchronous MRGP architecture the sparse embedded-chain
-// solution is cross-checked by the dense formulation and vice versa
-// (diag.PowerIters carries the sparse path's cycle count, so zero means
-// the dense path answered). The general (waits-for-wave) solver has a
-// single formulation and is never shadowed.
 func (m *Model) ShadowRung(diag petri.SolveDiag) string {
-	switch m.SolverKind() {
-	case "ctmc":
-		switch diag.Path {
-		case petri.PathSparse:
-			return "gth"
-		case petri.PathDense, petri.PathSparseFallbackDense:
-			return "power"
-		case petri.PathDenseFallbackPower:
-			return "gs"
-		}
-		return ""
-	case "mrgp":
-		if diag.PowerIters > 0 {
-			return "mrgp-dense"
-		}
-		return "mrgp-sparse"
-	default:
-		return ""
-	}
+	return shadowMatrix[shadowKey{m.SolverKind(), diag.Path}].rung
 }
 
-// SolveRungCtxWS re-solves the model on exactly one named rung ("gs",
-// "gth", "power" for the CTMC architecture; "mrgp-dense", "mrgp-sparse"
-// for the clock-synchronous one) with no fallback, returning the
-// distribution and the rung's iterative work. It is always a cold solve
-// — no warm-start seed — so the shadow result shares nothing with the
-// primary beyond the model itself.
-func (m *Model) SolveRungCtxWS(ctx context.Context, ws *linalg.Workspace, rung string) ([]float64, int, error) {
-	ctx, sp := obs.StartSpan(ctx, "nvp.solve.rung")
-	defer sp.End()
-	sp.Str("arch", m.Arch.String()).Str("rung", rung)
-	var (
-		pi    []float64
-		iters int
-		err   error
-	)
-	switch rung {
-	case "gs", "gth", "power":
-		if m.SolverKind() != "ctmc" {
-			err = fmt.Errorf("nvp: rung %q needs the ctmc architecture, model solves via %s", rung, m.SolverKind())
-			break
-		}
-		pi, iters, err = m.Graph.SteadyStateRungCtxWS(ctx, ws, rung)
-	case "mrgp-dense", "mrgp-sparse":
-		if m.SolverKind() != "mrgp" {
-			err = fmt.Errorf("nvp: rung %q needs the mrgp architecture, model solves via %s", rung, m.SolverKind())
-			break
-		}
-		var sol *mrgp.Solution
-		sol, err = mrgp.SolveRungCtxWS(ctx, ws, m.Graph, strings.TrimPrefix(rung, "mrgp-"))
-		if sol != nil {
-			pi = sol.Pi
-			iters = sol.Cycles
-		}
-	default:
-		err = fmt.Errorf("nvp: unknown solver rung %q", rung)
-	}
-	if err != nil {
-		sp.Err(err)
-		return nil, iters, err
-	}
-	if err := linalg.ValidateDistribution("nvp.solve.rung", pi); err != nil {
-		sp.Err(err)
-		return nil, iters, err
-	}
-	return pi, iters, nil
+// PrimaryPath labels the path that produced a primary result, from the
+// same matrix as ShadowRung; the shadow layer names its per-pair
+// agreement histograms after it.
+func (m *Model) PrimaryPath(diag petri.SolveDiag) string {
+	return shadowMatrix[shadowKey{m.SolverKind(), diag.Path}].primary
 }
 
 // StateDistribution aggregates the steady state into module-population
 // states (i, j, k), sorted by decreasing probability.
 func (m *Model) StateDistribution() ([]ModuleState, error) {
-	pi, err := m.Solve()
+	pi, _, err := m.Solve(nil, nil, Opts{})
 	if err != nil {
 		return nil, err
 	}
@@ -544,22 +518,22 @@ func (m *Model) StateDistribution() ([]ModuleState, error) {
 }
 
 // ExpectedReliability computes E[R_sys] = sum pi(i,j,k) R(i,j,k) under the
-// given state reliability function.
+// given state reliability function, solving the model with default
+// options.
 func (m *Model) ExpectedReliability(rf reliability.StateFn) (float64, error) {
-	return m.ExpectedReliabilityWS(nil, rf)
-}
-
-// ExpectedReliabilityWS is the workspace-backed form of ExpectedReliability.
-func (m *Model) ExpectedReliabilityWS(ws *linalg.Workspace, rf reliability.StateFn) (float64, error) {
-	return m.ExpectedReliabilityCtxWS(nil, ws, rf)
-}
-
-// ExpectedReliabilityCtxWS is ExpectedReliabilityWS with a context
-// threaded through the solve.
-func (m *Model) ExpectedReliabilityCtxWS(ctx context.Context, ws *linalg.Workspace, rf reliability.StateFn) (float64, error) {
-	pi, err := m.SolveCtxWS(ctx, ws)
+	pi, _, err := m.Solve(nil, nil, Opts{})
 	if err != nil {
 		return 0, err
+	}
+	return m.weigh(pi, rf)
+}
+
+// weigh is the one summation loop behind every E[R_sys]: callers that
+// solve once (for diagnostics) and weigh separately get a bit-for-bit
+// match with the one-call path.
+func (m *Model) weigh(pi []float64, rf reliability.StateFn) (float64, error) {
+	if len(pi) != len(m.Graph.Markings) {
+		return 0, fmt.Errorf("nvp: distribution has %d states, graph has %d", len(pi), len(m.Graph.Markings))
 	}
 	var e float64
 	for s, mk := range m.Graph.Markings {
@@ -590,44 +564,21 @@ func (m *Model) PaperReliability() (reliability.StateFn, error) {
 // ExpectedPaperReliability is the one-call headline metric: E[R_sys] under
 // the paper's reliability functions.
 func (m *Model) ExpectedPaperReliability() (float64, error) {
-	return m.ExpectedPaperReliabilityWS(nil)
-}
-
-// ExpectedPaperReliabilityWS is the workspace-backed form of
-// ExpectedPaperReliability.
-func (m *Model) ExpectedPaperReliabilityWS(ws *linalg.Workspace) (float64, error) {
-	return m.ExpectedPaperReliabilityCtxWS(nil, ws)
-}
-
-// ExpectedPaperReliabilityCtxWS is ExpectedPaperReliabilityWS with a
-// context threaded through the solve.
-func (m *Model) ExpectedPaperReliabilityCtxWS(ctx context.Context, ws *linalg.Workspace) (float64, error) {
 	rf, err := m.PaperReliability()
 	if err != nil {
 		return 0, err
 	}
-	return m.ExpectedReliabilityCtxWS(ctx, ws, rf)
+	return m.ExpectedReliability(rf)
 }
 
 // ExpectedPaperReliabilityFrom computes E[R_sys] under the paper's
-// reliability function from an already-solved distribution. The summation
-// loop is identical to ExpectedReliabilityCtxWS, so callers that solve
-// once (for diagnostics) and weigh separately get a bit-for-bit match
-// with the one-call path.
+// reliability function from an already-solved distribution.
 func (m *Model) ExpectedPaperReliabilityFrom(pi []float64) (float64, error) {
 	rf, err := m.PaperReliability()
 	if err != nil {
 		return 0, err
 	}
-	if len(pi) != len(m.Graph.Markings) {
-		return 0, fmt.Errorf("nvp: distribution has %d states, graph has %d", len(pi), len(m.Graph.Markings))
-	}
-	var e float64
-	for s, mk := range m.Graph.Markings {
-		i, j, k := m.classify(mk)
-		e += pi[s] * rf(i, j, k)
-	}
-	return e, nil
+	return m.weigh(pi, rf)
 }
 
 func sortStates(states []ModuleState) {

@@ -393,7 +393,7 @@ func TestSolveDistributionsSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi4, err := m4.Solve()
+	pi4, _, err := m4.Solve(nil, nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestSolveDistributionsSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi6, err := m6.Solve()
+	pi6, _, err := m6.Solve(nil, nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

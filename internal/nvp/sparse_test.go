@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvrel/internal/mrgp"
+	"nvrel/internal/petri"
 )
 
 // TestSparseSolversMatchDenseOnPaperModels: the acceptance bar of the
@@ -20,11 +21,11 @@ func TestSparseSolversMatchDenseOnPaperModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("N=%d: %v", n, err)
 			}
-			want, err := m.Graph.SteadyStateDenseWS(nil)
+			want, _, err := m.Graph.Solve(nil, nil, petri.Opts{Rung: "gth"})
 			if err != nil {
 				t.Fatalf("N=%d dense: %v", n, err)
 			}
-			got, err := m.Graph.SteadyStateSparseWS(nil)
+			got, _, err := m.Graph.Solve(nil, nil, petri.Opts{Rung: "gs"})
 			if err != nil {
 				t.Fatalf("N=%d sparse: %v", n, err)
 			}
@@ -47,7 +48,7 @@ func TestSparseSolversMatchDenseOnPaperModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("N=%d dense: %v", n, err)
 			}
-			got, err := mrgp.SolveSparseWS(nil, m.Graph)
+			got, err := mrgp.SolveSparseSeededCtxWS(nil, nil, m.Graph, nil)
 			if err != nil {
 				t.Fatalf("N=%d sparse: %v", n, err)
 			}

@@ -14,7 +14,7 @@ func collectSolveTrace(t *testing.T, m *Model) []obs.SpanRecord {
 	prev := obs.TraceEnable()
 	obs.TraceReset()
 	defer obs.SetTraceEnabled(prev)
-	if _, err := m.Solve(); err != nil {
+	if _, _, err := m.Solve(nil, nil, Opts{}); err != nil {
 		t.Fatalf("solve: %v", err)
 	}
 	all := obs.TraceSnapshot()

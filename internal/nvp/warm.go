@@ -37,21 +37,20 @@ func NewWarmRegistry() *WarmRegistry {
 	return &WarmRegistry{reg: warmstart.NewRegistry()}
 }
 
-// SolveDiagCtxWS solves m like Model.SolveDiagCtxWS, seeded from and
-// feeding the registry. The returned diag carries the seed provenance:
-// Seeded is true when the producing kernel actually started from the
-// registry's vector, and SeedSource names the registry policy.
-func (w *WarmRegistry) SolveDiagCtxWS(ctx context.Context, m *Model, ws *linalg.Workspace) ([]float64, petri.SolveDiag, error) {
+// Solve solves m like Model.Solve, seeded from and feeding the registry.
+// The returned diag carries the seed provenance: Seeded is true when the
+// producing kernel actually started from the registry's vector, and
+// SeedSource names the registry policy.
+func (w *WarmRegistry) Solve(ctx context.Context, ws *linalg.Workspace, m *Model) ([]float64, petri.SolveDiag, error) {
 	if w == nil || m.Graph.NumStates() < linalg.SparseThreshold || m.Params.Clock == ClockWaitsForWave {
-		return m.SolveDiagCtxWS(ctx, ws)
+		return m.Solve(ctx, ws, Opts{})
 	}
 	key := m.Graph.TopologyKey()
 	if key == nil {
-		return m.SolveDiagCtxWS(ctx, ws)
+		return m.Solve(ctx, ws, Opts{})
 	}
 	sig := m.Graph.RateSignature(nil)
-	seed := w.reg.Lookup(key, sig)
-	pi, iterate, diag, err := m.solveSeededDiagCtxWS(ctx, ws, seed)
+	pi, iterate, diag, err := m.solve(ctx, ws, Opts{Seed: w.reg.Lookup(key, sig)})
 	if err != nil {
 		return nil, diag, err
 	}
@@ -60,4 +59,10 @@ func (w *WarmRegistry) SolveDiagCtxWS(ctx context.Context, m *Model, ws *linalg.
 	}
 	w.reg.Insert(key, sig, iterate)
 	return pi, diag, nil
+}
+
+// SolveDiagCtxWS is Solve with its arguments reordered. It is
+// kept only for the perfbench module, which calls it by name.
+func (w *WarmRegistry) SolveDiagCtxWS(ctx context.Context, m *Model, ws *linalg.Workspace) ([]float64, petri.SolveDiag, error) {
+	return w.Solve(ctx, ws, m)
 }

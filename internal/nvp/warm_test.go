@@ -57,11 +57,11 @@ func TestWarmRegistryAgreesWithColdFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s point %d: build: %v", tc.name, i, err)
 			}
-			cold, _, err := m.SolveDiagCtxWS(nil, ws)
+			cold, _, err := m.Solve(nil, ws, Opts{})
 			if err != nil {
 				t.Fatalf("%s point %d: cold solve: %v", tc.name, i, err)
 			}
-			warm, diag, err := reg.SolveDiagCtxWS(nil, m, ws)
+			warm, diag, err := reg.Solve(nil, ws, m)
 			if err != nil {
 				t.Fatalf("%s point %d: warm solve: %v", tc.name, i, err)
 			}
@@ -91,13 +91,13 @@ func TestWarmRegistryDensePassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := linalg.NewWorkspace()
-	cold, coldDiag, err := m.SolveDiagCtxWS(nil, ws)
+	cold, coldDiag, err := m.Solve(nil, ws, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := NewWarmRegistry()
 	for rep := 0; rep < 2; rep++ { // second pass: registry warmed, still inert
-		warm, diag, err := reg.SolveDiagCtxWS(nil, m, ws)
+		warm, diag, err := reg.Solve(nil, ws, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,12 +124,12 @@ func TestNilWarmRegistrySolvesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := linalg.NewWorkspace()
-	cold, _, err := m.SolveDiagCtxWS(nil, ws)
+	cold, _, err := m.Solve(nil, ws, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var reg *WarmRegistry
-	got, diag, err := reg.SolveDiagCtxWS(nil, m, ws)
+	got, diag, err := reg.Solve(nil, ws, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestWarmRegistryCorruptSeedDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, _, err := m.SolveDiagCtxWS(nil, ws)
+		cold, _, err := m.Solve(nil, ws, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, diag, err := reg.SolveDiagCtxWS(nil, m, ws)
+		got, diag, err := reg.Solve(nil, ws, m)
 		if err != nil {
 			t.Fatalf("point %d: corrupted-seed solve errored: %v", i, err)
 		}

@@ -14,9 +14,9 @@ func TestSteadyStateDiagDensePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := linalg.SparseThreshold / 2
 	g := randomReachabilityGraph(rng, n)
-	pi, diag, err := g.SteadyStateDiagWS(nil)
+	pi, diag, err := g.Solve(nil, nil, Opts{})
 	if err != nil {
-		t.Fatalf("SteadyStateDiagWS: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if diag.Path != PathDense {
 		t.Fatalf("path = %v, want %v", diag.Path, PathDense)
@@ -48,9 +48,9 @@ func TestSteadyStateDiagSparsePath(t *testing.T) {
 	ws := linalg.NewWorkspace()
 	n := linalg.SparseThreshold + 40
 	g := randomReachabilityGraph(rng, n)
-	pi, diag, err := g.SteadyStateDiagWS(ws)
+	pi, diag, err := g.Solve(nil, ws, Opts{})
 	if err != nil {
-		t.Fatalf("SteadyStateDiagWS: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if diag.Path != PathSparse {
 		t.Fatalf("path = %v (fallback: %v), want %v", diag.Path, diag.Fallback, PathSparse)
@@ -61,7 +61,7 @@ func TestSteadyStateDiagSparsePath(t *testing.T) {
 	if diag.Fallback != nil {
 		t.Fatalf("fallback = %v without a dense backstop run, want nil", diag.Fallback)
 	}
-	want, err := g.SteadyStateDenseWS(ws)
+	want, _, err := g.Solve(nil, ws, Opts{Rung: "gth"})
 	if err != nil {
 		t.Fatalf("dense reference: %v", err)
 	}

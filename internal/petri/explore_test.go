@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"nvrel/internal/linalg"
 )
 
 // buildMM1K constructs an M/M/1/K queue net.
@@ -43,7 +45,7 @@ func TestExploreMM1K(t *testing.T) {
 	if g.NumStates() != k+1 {
 		t.Fatalf("NumStates = %d, want %d", g.NumStates(), k+1)
 	}
-	pi, err := g.SteadyState()
+	pi, _, err := g.Solve(nil, nil, Opts{})
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}
@@ -322,7 +324,7 @@ func TestExploreDeterministicSchedule(t *testing.T) {
 	if withDet != 2 || withoutDet != 2 {
 		t.Errorf("det/no-det split = %d/%d, want 2/2", withDet, withoutDet)
 	}
-	if _, err := g.SteadyState(); err == nil {
+	if _, _, err := g.Solve(nil, nil, Opts{}); err == nil {
 		t.Error("SteadyState must refuse graphs with deterministic transitions")
 	}
 }
@@ -334,9 +336,13 @@ func TestGraphExpectedRewardMM1K(t *testing.T) {
 		t.Fatalf("Explore: %v", err)
 	}
 	// Uniform stationary distribution (rho = 1): mean queue length = 1.5.
-	mean, err := g.ExpectedReward(func(m Marking) float64 { return float64(m[0]) })
+	pi, _, err := g.Solve(nil, nil, Opts{})
 	if err != nil {
-		t.Fatalf("ExpectedReward: %v", err)
+		t.Fatalf("Solve: %v", err)
+	}
+	mean, err := linalg.Dot(pi, g.RewardVector(func(m Marking) float64 { return float64(m[0]) }))
+	if err != nil {
+		t.Fatalf("Dot: %v", err)
 	}
 	if math.Abs(mean-1.5) > 1e-12 {
 		t.Errorf("mean queue = %g, want 1.5", mean)
@@ -437,7 +443,7 @@ func TestExploreAbsorbingTangible(t *testing.T) {
 	if g.NumStates() != 2 {
 		t.Fatalf("NumStates = %d", g.NumStates())
 	}
-	if _, err := g.SteadyState(); err == nil {
+	if _, _, err := g.Solve(nil, nil, Opts{}); err == nil {
 		t.Error("steady state of an absorbing chain should fail")
 	}
 }

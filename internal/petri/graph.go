@@ -59,31 +59,6 @@ func (g *Graph) RewardVector(f RewardFn) []float64 {
 	return r
 }
 
-// SteadyState computes the stationary distribution of a graph with no
-// deterministic transitions (a plain GSPN/CTMC).
-func (g *Graph) SteadyState() ([]float64, error) {
-	return g.SteadyStateWS(nil)
-}
-
-// SteadyStateWS is the workspace-backed form of SteadyState; scratch comes
-// from ws. The returned vector is freshly allocated either way. State
-// spaces of linalg.SparseThreshold states or more route through the sparse
-// Gauss-Seidel solver (with dense GTH as convergence backstop); smaller
-// ones go straight to dense GTH, whose constant factors win there.
-func (g *Graph) SteadyStateWS(ws *linalg.Workspace) ([]float64, error) {
-	pi, _, err := g.SteadyStateDiagWS(ws)
-	return pi, err
-}
-
-// SteadyStateCtxWS is SteadyStateWS with a context: the iterative kernels
-// check for cancellation periodically and the fallback chain stops at the
-// first deadline failure instead of retrying slower solvers against a
-// dead clock.
-func (g *Graph) SteadyStateCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, error) {
-	pi, _, err := g.SteadyStateDiagCtxWS(ctx, ws)
-	return pi, err
-}
-
 // SolvePath identifies which solver produced a steady-state result.
 type SolvePath int
 
@@ -104,6 +79,9 @@ const (
 	// the dense GTH backstop failed, and the uniformized power backstop
 	// produced the result.
 	PathSparseFallbackPower
+	// PathPower is a named-rung solve on the uniformized power rung alone
+	// (Opts.Rung "power"); the size-routed ladder never reports it.
+	PathPower
 )
 
 func (p SolvePath) String() string {
@@ -118,41 +96,33 @@ func (p SolvePath) String() string {
 		return "dense-fallback-power"
 	case PathSparseFallbackPower:
 		return "sparse-fallback-power"
+	case PathPower:
+		return "power"
 	default:
 		return "unknown"
 	}
 }
 
-// Attempt records one failed rung of the fallback chain: which solver ran,
-// how many iterations it spent, and the typed error that sent the chain to
-// the next rung. Successful rungs are not recorded — the SolveDiag Path
-// identifies the solver that produced the result — so a clean first-try
-// solve allocates nothing here.
-type Attempt struct {
-	// Solver is "gs", "gth" or "power".
-	Solver string
-	// Sweeps is the iteration count of the failed attempt (zero for GTH).
-	Sweeps int
-	// Err is the typed failure that forced the fallback.
-	Err error
-}
-
-// SolveDiag reports how a steady-state solve went: the path taken, the
-// Gauss-Seidel sweep count (zero on the dense path), the first failure
-// that forced a fallback (nil otherwise), and the per-attempt outcomes of
-// every failed rung. It exists so callers and tests can assert the solver
-// behavior that the result vector alone cannot reveal — most importantly
-// that a sparse solve did not silently degrade to a backstop.
+// SolveDiag reports how a solve went: the path taken, the Gauss-Seidel
+// sweep count (zero on the dense path), the first failure that forced a
+// fallback (nil otherwise), and the per-attempt outcomes of every failed
+// rung. It exists so callers and tests can assert the solver behavior that
+// the result vector alone cannot reveal — most importantly that a sparse
+// solve did not silently degrade to a backstop. Graph.Solve fills it for
+// CTMCs; mrgp.Solve fills it for clocked DSPNs, with Path one of
+// PathSparse, PathDense or PathSparseFallbackDense.
 type SolveDiag struct {
 	States   int
 	Path     SolvePath
 	GSSweeps int
 	Fallback error
-	Attempts []Attempt
+	Attempts []linalg.Attempt
 
 	// PowerIters is the iteration count of the uniformized power rung when
 	// it produced the result (zero when power never ran or failed; failed
-	// power attempts record their count in Attempts).
+	// power attempts record their count in Attempts). On an MRGP solve it
+	// carries the embedded-chain power cycles (mrgp.Solution.Cycles, zero
+	// on the dense path), so Iterations measures both solvers uniformly.
 	PowerIters int
 
 	// Seeded reports whether the iterative kernel that produced the result
@@ -188,42 +158,74 @@ func (d SolveDiag) Iterations() int {
 	return total
 }
 
-// SteadyStateDiagWS computes the stationary distribution like
-// SteadyStateWS and additionally reports which solver path produced it.
-func (g *Graph) SteadyStateDiagWS(ws *linalg.Workspace) ([]float64, SolveDiag, error) {
-	return g.SteadyStateDiagCtxWS(nil, ws)
+// Opts selects how Graph.Solve runs.
+type Opts struct {
+	// Seed is an optional warm-start vector: a previous stationary vector
+	// from a Restamp sibling of this graph. Only the Gauss-Seidel rung
+	// consumes it — dense GTH and the power backstop restart from their
+	// usual initialization — so a nil seed reproduces the cold solve bit
+	// for bit.
+	Seed []float64
+	// Rung names one rung to run with no fallback: "gs" (sparse
+	// Gauss-Seidel), "gth" (dense direct) or "power" (uniformized power
+	// iteration). A failing rung surfaces its typed error instead of
+	// rerouting, which is what a shadow re-solve needs: silently falling
+	// back onto the primary's path would compare the primary result
+	// against itself. Empty routes by size and runs the full ladder.
+	Rung string
 }
 
-// isDeadline reports whether err is a typed deadline failure — the one
-// failure kind the fallback chain must not retry past, because every
-// later rung would burn time against a clock that already expired.
-func isDeadline(err error) bool {
-	se, ok := linalg.AsSolveError(err)
-	return ok && se.Kind == linalg.FailDeadline
+// rungState carries one steady-state solve through the ladder: the
+// inputs every rung reads and the outputs the rungs leave behind.
+type rungState struct {
+	g    *Graph
+	ws   *linalg.Workspace
+	seed []float64
+
+	pi         []float64
+	gsSweeps   int
+	warm       bool
+	residual   float64
+	powerIters int
 }
 
-// SteadyStateDiagCtxWS is the hardened steady-state entry point: solver
-// routing by size, a validated fallback chain driven by typed failures
-// (sparse: GS -> dense GTH -> uniformized power; dense: GTH -> power),
-// panic recovery around every kernel, and a distribution guard on every
-// candidate result. The contract is that a fault anywhere in the solve
-// either recovers on a later rung or surfaces as a typed
-// *linalg.SolveError — never a silently wrong vector.
-func (g *Graph) SteadyStateDiagCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, SolveDiag, error) {
-	return g.SteadyStateSeededDiagCtxWS(ctx, ws, nil)
-}
+// The rung table. State spaces of linalg.SparseThreshold states or more
+// run GS -> dense GTH -> uniformized power; smaller ones run GTH -> power,
+// since dense GTH's constant factors win there. The dense generator of
+// the GTH rung is assembled independently from the rate edges, so a
+// corrupted CSR stamp does not poison it; the power rung needs nothing
+// from the generator beyond matvecs.
+var (
+	rungGS    = linalg.Rung[*rungState]{Name: "gs", Span: "petri.rung.gs", Site: "petri.solve.gs", Iters: "sweeps", Run: solveGS}
+	rungGTH   = linalg.Rung[*rungState]{Name: "gth", Span: "petri.rung.gth", Site: "petri.solve.gth", Run: solveGTH}
+	rungPower = linalg.Rung[*rungState]{Name: "power", Span: "petri.rung.power", Site: "petri.solve.power", Iters: "iters", Run: solvePower}
 
-// SteadyStateSeededDiagCtxWS is SteadyStateDiagCtxWS with an optional
-// warm-start seed: a previous stationary vector from a Restamp sibling of
-// this graph. Only the first Gauss-Seidel rung consumes the seed — the
-// dense GTH route and every fallback rung restart from their usual
-// initialization, so chain semantics and the direct paths are unchanged
-// and a nil seed reproduces SteadyStateDiagCtxWS bit for bit. The
-// returned diag reports whether the producing kernel actually started
-// warm (Seeded) alongside the usual path and iteration counts.
-func (g *Graph) SteadyStateSeededDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, SolveDiag, error) {
+	sparseLadder = linalg.Ladder[*rungState]{Rungs: []linalg.Rung[*rungState]{rungGS, rungGTH, rungPower}, Check: checkPi}
+	denseLadder  = linalg.Ladder[*rungState]{Rungs: []linalg.Rung[*rungState]{rungGTH, rungPower}, Check: checkPi}
+
+	// Paths by the index of the rung that answered. Named-rung solves
+	// look their rung up in sparseLadder, which holds all three.
+	sparsePaths = []SolvePath{PathSparse, PathSparseFallbackDense, PathSparseFallbackPower}
+	densePaths  = []SolvePath{PathDense, PathDenseFallbackPower}
+	namedPaths  = []SolvePath{PathSparse, PathDense, PathPower}
+)
+
+func checkPi(site string, s *rungState) error { return linalg.ValidateDistribution(site, s.pi) }
+
+// Solve is the steady-state entry point for a graph with no
+// deterministic transitions: routing by size, a validated fallback ladder
+// driven by typed failures (sparse: GS -> dense GTH -> uniformized power;
+// dense: GTH -> power), panic recovery around every rung, and a
+// distribution guard on every candidate result. The contract is that a
+// fault anywhere in the solve either recovers on a later rung or surfaces
+// as a typed *linalg.SolveError — never a silently wrong vector. The
+// iterative kernels check ctx periodically, and the ladder stops at the
+// first deadline failure. A nil ctx never expires; a nil ws allocates.
+// The returned vector is freshly allocated and the diag reports the path
+// taken, iteration counts, and every failed rung.
+func (g *Graph) Solve(ctx context.Context, ws *linalg.Workspace, o Opts) ([]float64, SolveDiag, error) {
 	ctx, sp := obs.StartSpan(ctx, "petri.solve")
-	pi, diag, err := g.steadyStateDiagCtxWS(ctx, ws, seed)
+	pi, diag, err := g.solve(ctx, ws, o)
 	sp.Int("states", int64(diag.States)).
 		Str("path", diag.Path.String()).
 		Int("gs_sweeps", int64(diag.GSSweeps)).
@@ -235,239 +237,112 @@ func (g *Graph) SteadyStateSeededDiagCtxWS(ctx context.Context, ws *linalg.Works
 	return pi, diag, err
 }
 
-func (g *Graph) steadyStateDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, SolveDiag, error) {
+// SteadyStateDiagCtxWS is Solve with default options. It is kept only
+// for the perfbench module, which calls it by name.
+func (g *Graph) SteadyStateDiagCtxWS(ctx context.Context, ws *linalg.Workspace) ([]float64, SolveDiag, error) {
+	return g.Solve(ctx, ws, Opts{})
+}
+
+func (g *Graph) solve(ctx context.Context, ws *linalg.Workspace, o Opts) ([]float64, SolveDiag, error) {
 	if g.HasDeterministic() {
 		return nil, SolveDiag{}, errors.New("petri: graph has deterministic transitions; use mrgp.Solve")
 	}
+	diag := SolveDiag{States: g.NumStates()}
 	if err := linalg.CtxError("petri.solve", ctx); err != nil {
-		return nil, SolveDiag{States: g.NumStates()}, err
-	}
-	if g.NumStates() >= linalg.SparseThreshold {
-		return g.steadyStateSparseDiagCtxWS(ctx, ws, seed)
-	}
-	metSolveDense.Inc()
-	diag := SolveDiag{States: g.NumStates(), Path: PathDense}
-	pi, err := g.steadyStateDenseGuarded(ctx, ws)
-	if err == nil {
-		return pi, diag, nil
-	}
-	diag.Fallback = err
-	diag.Attempts = append(diag.Attempts, Attempt{Solver: "gth", Err: err})
-	if isDeadline(err) {
-		metSolveFailed.Inc()
 		return nil, diag, err
 	}
-	diag.Path = PathDenseFallbackPower
-	metSolveFallbackPower.Inc()
-	pi, iters, perr := g.steadyStatePowerGuarded(ctx, ws)
-	if perr != nil {
-		diag.Attempts = append(diag.Attempts, Attempt{Solver: "power", Sweeps: iters, Err: perr})
-		metSolveFailed.Inc()
-		return nil, diag, perr
-	}
-	diag.PowerIters = iters
-	metSolveRecovered.Inc()
-	return pi, diag, nil
-}
-
-// SteadyStateDenseWS computes the stationary distribution by dense GTH
-// elimination, unconditionally. It is the reference path the sparse solver
-// is validated against and the backstop when iteration fails to converge.
-func (g *Graph) SteadyStateDenseWS(ws *linalg.Workspace) ([]float64, error) {
-	q, err := g.GeneratorWS(ws)
-	if err != nil {
-		return nil, err
-	}
-	defer ws.PutMat(q)
-	return ws.SteadyStateGTH(q, nil)
-}
-
-// SteadyStateSparseWS computes the stationary distribution by Gauss-Seidel
-// sweeps over the transposed CSR generator, never materializing a dense
-// matrix. If the iteration does not converge it falls back to dense GTH.
-func (g *Graph) SteadyStateSparseWS(ws *linalg.Workspace) ([]float64, error) {
-	pi, _, err := g.steadyStateSparseDiagCtxWS(nil, ws, nil)
-	return pi, err
-}
-
-func (g *Graph) steadyStateSparseDiagCtxWS(ctx context.Context, ws *linalg.Workspace, seed []float64) ([]float64, SolveDiag, error) {
-	metSolveSparse.Inc()
-	diag := SolveDiag{States: g.NumStates(), Path: PathSparse}
-	pi := make([]float64, g.NumStates())
-	sweeps, warm, res, err := g.sparseGSGuarded(ctx, ws, pi, seed)
-	diag.GSSweeps = sweeps
-	if err == nil {
-		diag.Seeded = warm
-		diag.Residual = res
-		return pi, diag, nil
-	}
-	diag.Fallback = err
-	diag.Attempts = append(diag.Attempts, Attempt{Solver: "gs", Sweeps: sweeps, Err: err})
-	if isDeadline(err) {
-		metSolveFailed.Inc()
-		return nil, diag, err
-	}
-	// Rung 2: dense GTH. The dense generator is assembled independently
-	// from the rate edges, so a corrupted CSR stamp does not poison it.
-	metSolveFallback.Inc()
-	diag.Path = PathSparseFallbackDense
-	dpi, derr := g.steadyStateDenseGuarded(ctx, ws)
-	if derr == nil {
-		metSolveRecovered.Inc()
-		return dpi, diag, nil
-	}
-	diag.Attempts = append(diag.Attempts, Attempt{Solver: "gth", Err: derr})
-	if isDeadline(derr) {
-		metSolveFailed.Inc()
-		return nil, diag, derr
-	}
-	// Rung 3: uniformized power iteration, which needs nothing from the
-	// generator beyond matvecs.
-	diag.Path = PathSparseFallbackPower
-	metSolveFallbackPower.Inc()
-	ppi, iters, perr := g.steadyStatePowerGuarded(ctx, ws)
-	if perr != nil {
-		diag.Attempts = append(diag.Attempts, Attempt{Solver: "power", Sweeps: iters, Err: perr})
-		metSolveFailed.Inc()
-		return nil, diag, perr
-	}
-	diag.PowerIters = iters
-	metSolveRecovered.Inc()
-	return ppi, diag, nil
-}
-
-// sparseGSGuarded runs one Gauss-Seidel attempt with panic recovery and a
-// result guard; pi receives the distribution on success. The rung span
-// covers generator stamping plus validation; the nested kernel span
-// isolates the Gauss-Seidel iteration itself (the kernel stays
-// span-free internally so its NoAlloc guarantees are untouched).
-func (g *Graph) sparseGSGuarded(ctx context.Context, ws *linalg.Workspace, pi, seed []float64) (sweeps int, warm bool, residual float64, err error) {
-	ctx, sp := obs.StartSpan(ctx, "petri.rung.gs")
-	defer func() {
-		sp.Int("sweeps", int64(sweeps)).Err(err)
-		sp.End()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			err = linalg.NewPanicError("petri.solve.gs", r)
-		}
-	}()
-	qt, err := g.GeneratorCSRTranspose(ws)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	_, ksp := obs.StartSpan(ctx, "linalg.gs")
-	sweeps, warm, residual, err = ws.SteadyStateGSSeededResCtx(ctx, qt, pi, seed)
-	ksp.Int("sweeps", int64(sweeps)).Int("nnz", int64(qt.NNZ())).Err(err)
-	ksp.End()
-	ws.PutCSR(qt)
-	if err == nil {
-		err = linalg.ValidateDistribution("petri.solve.gs", pi)
-	}
-	return sweeps, warm, residual, err
-}
-
-// steadyStateDenseGuarded runs one dense GTH attempt with panic recovery
-// and a result guard. The body inlines SteadyStateDenseWS so the kernel
-// span covers only the GTH elimination, not the generator assembly.
-func (g *Graph) steadyStateDenseGuarded(ctx context.Context, ws *linalg.Workspace) (pi []float64, err error) {
-	ctx, sp := obs.StartSpan(ctx, "petri.rung.gth")
-	defer func() {
-		sp.Err(err)
-		sp.End()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			pi, err = nil, linalg.NewPanicError("petri.solve.gth", r)
-		}
-	}()
-	q, err := g.GeneratorWS(ws)
-	if err != nil {
-		return nil, err
-	}
-	defer ws.PutMat(q)
-	_, ksp := obs.StartSpan(ctx, "linalg.gth")
-	pi, err = ws.SteadyStateGTH(q, nil)
-	ksp.Err(err)
-	ksp.End()
-	if err == nil {
-		if verr := linalg.ValidateDistribution("petri.solve.gth", pi); verr != nil {
-			return nil, verr
-		}
-	}
-	return pi, err
-}
-
-// steadyStatePowerGuarded runs one uniformized power-iteration attempt —
-// the last rung of the chain — with panic recovery and a result guard.
-func (g *Graph) steadyStatePowerGuarded(ctx context.Context, ws *linalg.Workspace) (pi []float64, iters int, err error) {
-	ctx, sp := obs.StartSpan(ctx, "petri.rung.power")
-	defer func() {
-		sp.Int("iters", int64(iters)).Err(err)
-		sp.End()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			pi, iters, err = nil, 0, linalg.NewPanicError("petri.solve.power", r)
-		}
-	}()
-	q, err := g.GeneratorCSR(ws)
-	if err != nil {
-		return nil, 0, err
-	}
-	pi = make([]float64, g.NumStates())
-	_, ksp := obs.StartSpan(ctx, "linalg.power")
-	iters, err = ws.SteadyStatePowerCtx(ctx, q, pi)
-	ksp.Int("iters", int64(iters)).Int("nnz", int64(q.NNZ())).Err(err)
-	ksp.End()
-	ws.PutCSR(q)
-	if err == nil {
-		err = linalg.ValidateDistribution("petri.solve.power", pi)
-	}
-	if err != nil {
-		return nil, iters, err
-	}
-	return pi, iters, nil
-}
-
-// SteadyStateRungCtxWS runs exactly one named rung of the steady-state
-// chain — "gs" (sparse Gauss-Seidel), "gth" (dense direct), or "power"
-// (uniformized power iteration) — with NO fallback: a failing rung
-// surfaces its typed error instead of rerouting. It is the
-// shadow-verification primitive (internal/shadow): a cross-check
-// re-solve must stay on the independent path it was assigned, because
-// silently falling back onto the primary's path would compare the
-// primary result against itself. The returned count is the rung's
-// iterative work (GS sweeps or power iterations; zero for the direct
-// GTH elimination). The result is guard-validated like every chain rung.
-func (g *Graph) SteadyStateRungCtxWS(ctx context.Context, ws *linalg.Workspace, rung string) ([]float64, int, error) {
-	if g.HasDeterministic() {
-		return nil, 0, errors.New("petri: graph has deterministic transitions; use mrgp.Solve")
-	}
-	switch rung {
-	case "gs":
-		pi := make([]float64, g.NumStates())
-		sweeps, _, _, err := g.sparseGSGuarded(ctx, ws, pi, nil)
-		if err != nil {
-			return nil, sweeps, err
-		}
-		return pi, sweeps, nil
-	case "gth":
-		pi, err := g.steadyStateDenseGuarded(ctx, ws)
-		return pi, 0, err
-	case "power":
-		return g.steadyStatePowerGuarded(ctx, ws)
+	ladder, paths := &denseLadder, densePaths
+	switch {
+	case o.Rung != "":
+		ladder, paths = &sparseLadder, namedPaths
+	case g.NumStates() >= linalg.SparseThreshold:
+		ladder, paths = &sparseLadder, sparsePaths
+		metSolveSparse.Inc()
 	default:
-		return nil, 0, fmt.Errorf("petri: unknown solver rung %q (want gs, gth, or power)", rung)
+		metSolveDense.Inc()
 	}
+	st := &rungState{g: g, ws: ws, seed: o.Seed}
+	last, attempts, err := ladder.Run(ctx, st, o.Rung)
+	if last < 0 {
+		return nil, diag, fmt.Errorf("petri: %w", err)
+	}
+	diag.Path = paths[last]
+	diag.GSSweeps = st.gsSweeps
+	diag.Attempts = attempts
+	if len(attempts) > 0 {
+		diag.Fallback = attempts[0].Err
+	}
+	if o.Rung == "" {
+		for _, r := range ladder.Rungs[1 : last+1] {
+			if r.Name == "gth" {
+				metSolveFallback.Inc()
+			} else {
+				metSolveFallbackPower.Inc()
+			}
+		}
+		if err != nil {
+			metSolveFailed.Inc()
+		} else if last > 0 {
+			metSolveRecovered.Inc()
+		}
+	}
+	if err != nil {
+		return nil, diag, err
+	}
+	switch ladder.Rungs[last].Name {
+	case "gs":
+		diag.Seeded, diag.Residual = st.warm, st.residual
+	case "power":
+		diag.PowerIters = st.powerIters
+	}
+	return st.pi, diag, nil
 }
 
-// ExpectedReward computes the steady-state expected reward of a graph with
-// no deterministic transitions.
-func (g *Graph) ExpectedReward(f RewardFn) (float64, error) {
-	pi, err := g.SteadyState()
+// solveGS is the Gauss-Seidel rung over the transposed CSR generator. The
+// rung span covers generator stamping plus validation; the nested kernel
+// span isolates the iteration itself (the kernel stays span-free
+// internally so its NoAlloc guarantees are untouched).
+func solveGS(ctx context.Context, s *rungState) (int, error) {
+	s.pi = make([]float64, s.g.NumStates())
+	qt, err := s.g.GeneratorCSRTranspose(s.ws)
 	if err != nil {
 		return 0, err
 	}
-	return linalg.Dot(pi, g.RewardVector(f))
+	_, ksp := obs.StartSpan(ctx, "linalg.gs")
+	s.gsSweeps, s.warm, s.residual, err = s.ws.SteadyStateGS(ctx, qt, s.pi, s.seed)
+	ksp.Int("sweeps", int64(s.gsSweeps)).Int("nnz", int64(qt.NNZ())).Err(err)
+	ksp.End()
+	s.ws.PutCSR(qt)
+	return s.gsSweeps, err
+}
+
+// solveGTH is the dense GTH rung; the kernel span covers only the
+// elimination, not the generator assembly.
+func solveGTH(ctx context.Context, s *rungState) (int, error) {
+	q, err := s.g.GeneratorWS(s.ws)
+	if err != nil {
+		return 0, err
+	}
+	defer s.ws.PutMat(q)
+	_, ksp := obs.StartSpan(ctx, "linalg.gth")
+	s.pi, err = s.ws.SteadyStateGTH(q, nil)
+	ksp.Err(err)
+	ksp.End()
+	return 0, err
+}
+
+// solvePower is the uniformized power-iteration rung, the last of the
+// ladder. It never consumes the warm-start seed.
+func solvePower(ctx context.Context, s *rungState) (int, error) {
+	q, err := s.g.GeneratorCSR(s.ws)
+	if err != nil {
+		return 0, err
+	}
+	s.pi = make([]float64, s.g.NumStates())
+	_, ksp := obs.StartSpan(ctx, "linalg.power")
+	s.powerIters, _, err = s.ws.SteadyStatePower(ctx, q, s.pi, nil)
+	ksp.Int("iters", int64(s.powerIters)).Int("nnz", int64(q.NNZ())).Err(err)
+	ksp.End()
+	s.ws.PutCSR(q)
+	return s.powerIters, err
 }

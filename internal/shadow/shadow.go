@@ -302,7 +302,7 @@ func (v *Verifier) verify(job Job) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), v.cfg.Timeout)
 	ws := v.arena.Get()
-	pi, _, err := model.SolveRungCtxWS(ctx, ws, rung)
+	pi, _, err := model.Solve(ctx, ws, nvp.Opts{Rung: rung})
 	v.arena.Put(ws)
 	cancel()
 	if err != nil {
@@ -317,7 +317,7 @@ func (v *Verifier) verify(job Job) {
 		return
 	}
 
-	primary := primaryLabel(model, job.Diag)
+	primary := model.PrimaryPath(job.Diag)
 	piDelta := linfDelta(job.Pi, pi)
 	relDelta := math.Abs(job.Rel - rel)
 	oc.PiDelta, oc.RelDelta = piDelta, relDelta
@@ -369,20 +369,6 @@ func (v *Verifier) fail(job Job, oc *Outcome, rung string, err error) {
 		ev.TraceID = obs.FormatTraceID(job.TraceID)
 	}
 	obs.RecordEvent(ev)
-}
-
-// primaryLabel names the path that produced the primary result, for the
-// per-pair agreement histogram.
-func primaryLabel(model *nvp.Model, diag petri.SolveDiag) string {
-	if model.SolverKind() == "ctmc" {
-		return diag.Path.String()
-	}
-	// For MRGP PowerIters carries the sparse path's cycle count; the
-	// dense formulation reports zero.
-	if diag.PowerIters > 0 {
-		return "mrgp-sparse"
-	}
-	return "mrgp-dense"
 }
 
 // linfDelta is the L-inf distance between two distributions; length

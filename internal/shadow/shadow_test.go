@@ -25,7 +25,7 @@ func solvePrimary(t *testing.T, n int) (Job, *nvp.Model) {
 		t.Fatalf("build: %v", err)
 	}
 	ws := linalg.NewWorkspace()
-	pi, diag, err := model.SolveDiagCtxWS(context.Background(), ws)
+	pi, diag, err := model.Solve(context.Background(), ws, nvp.Opts{})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
@@ -207,25 +207,48 @@ func TestShadowOfferAfterCloseSkips(t *testing.T) {
 	v.Close() // idempotent
 }
 
+// TestShadowRungMatrix pins the path-diversity matrix: for every
+// (solver, primary path) pair, the rung the shadow re-solve runs on and
+// the primary label the shadow.agreement.<primary>_vs_<rung> histogram is
+// named after.
 func TestShadowRungMatrix(t *testing.T) {
-	p := nvp.DefaultFourVersion()
-	model, err := nvp.BuildNoRejuvenation(p)
+	ctmc, err := nvp.BuildNoRejuvenation(nvp.DefaultFourVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mrgp, err := nvp.BuildWithRejuvenation(nvp.DefaultSixVersion())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := nvp.DefaultSixVersion()
+	wp.Clock = nvp.ClockWaitsForWave
+	general, err := nvp.BuildWithRejuvenation(wp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		path petri.SolvePath
-		want string
+		model   *nvp.Model
+		path    petri.SolvePath
+		primary string
+		want    string
 	}{
-		{petri.PathSparse, "gth"},
-		{petri.PathDense, "power"},
-		{petri.PathSparseFallbackDense, "power"},
-		{petri.PathDenseFallbackPower, "gs"},
-		{petri.PathSparseFallbackPower, ""},
+		{ctmc, petri.PathSparse, "sparse", "gth"},
+		{ctmc, petri.PathDense, "dense", "power"},
+		{ctmc, petri.PathSparseFallbackDense, "sparse-fallback-dense", "power"},
+		{ctmc, petri.PathDenseFallbackPower, "dense-fallback-power", "gs"},
+		{ctmc, petri.PathSparseFallbackPower, "sparse-fallback-power", ""},
+		{mrgp, petri.PathSparse, "mrgp-sparse", "mrgp-dense"},
+		{mrgp, petri.PathDense, "mrgp-dense", "mrgp-sparse"},
+		{mrgp, petri.PathSparseFallbackDense, "mrgp-dense", "mrgp-sparse"},
+		{general, petri.PathDense, "", ""},
 	}
 	for _, c := range cases {
-		if got := model.ShadowRung(petri.SolveDiag{Path: c.path}); got != c.want {
-			t.Errorf("ShadowRung(%v) = %q, want %q", c.path, got, c.want)
+		diag := petri.SolveDiag{Path: c.path}
+		if got := c.model.ShadowRung(diag); got != c.want {
+			t.Errorf("%s ShadowRung(%v) = %q, want %q", c.model.SolverKind(), c.path, got, c.want)
+		}
+		if got := c.model.PrimaryPath(diag); got != c.primary {
+			t.Errorf("%s PrimaryPath(%v) = %q, want %q", c.model.SolverKind(), c.path, got, c.primary)
 		}
 	}
 }

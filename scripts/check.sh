@@ -19,6 +19,12 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== perfbench module: vet + tests"
+# perfbench is its own module (replace nvrel => ../), so the root
+# go build/test ./... above never compiles it; a solve-API change that
+# breaks the benchmark would otherwise go unnoticed until it runs.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== no-alloc benchmark guards (-benchtime=1x)"
 bench_out=$(go test -run '^$' -bench 'NoAlloc' -benchmem -benchtime=1x ./...)
 echo "$bench_out"
