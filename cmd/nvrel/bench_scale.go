@@ -110,7 +110,9 @@ func scaleFamilies() []scaleFamily {
 		},
 		{
 			// MRGP steady state: dense embedded-chain construction vs the
-			// matrix-free sparse power iteration.
+			// matrix-free sparse rung (bordered GMRES on the embedded
+			// chain, ~15 applications of P at N=12 where the power rung
+			// needs ~300).
 			name:  "steady-rejuv",
 			sizes: []int{6, 8, 10, 12, 14, 16, 20, 24, 30},
 			build: withRejuv,

@@ -198,17 +198,17 @@ func TestServeShadowOffByDefault(t *testing.T) {
 }
 
 // TestServeMrgpFallbackReachesAudit: a six-version solve whose sparse
-// rung stalls is rescued by the dense rung, and that fallback must be
-// visible end to end — in the /solve diag, in the flight record, and in
-// the fallback count `nvrel audit` replays from the flight dump. The
-// flight path stays empty (MRGP solves bucket by solver in audit).
+// (Krylov) rung stalls is rescued by the power rung, and that fallback
+// must be visible end to end — in the /solve diag, in the flight record,
+// and in the fallback count `nvrel audit` replays from the flight dump.
+// The flight path stays empty (MRGP solves bucket by solver in audit).
 func TestServeMrgpFallbackReachesAudit(t *testing.T) {
 	prev := linalg.SparseThreshold
 	linalg.SparseThreshold = 1 // route the default 6v model through the sparse rung
 	t.Cleanup(func() { linalg.SparseThreshold = prev })
 	_, ts := newTestServer(t)
 	faultinject.Reset()
-	if err := faultinject.Arm(faultinject.Fault{Site: "mrgp.power.stall"}, 1); err != nil {
+	if err := faultinject.Arm(faultinject.Fault{Site: "mrgp.krylov.stall"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	faultinject.Enable()

@@ -535,13 +535,13 @@ func TestServeReadyzDrainingWins(t *testing.T) {
 
 // TestServeClientTimeoutCapped: a client's timeout_seconds may shorten the
 // solve deadline but never extend it past the server's -solve-timeout, so
-// a sparse 6v N=12 solve (~0.8 s) asked to run for 60 s on a 50 ms server
+// a sparse 6v N=24 solve (~0.3 s) asked to run for 60 s on a 50 ms server
 // is cut off with a 504 well inside a second.
 func TestServeClientTimeoutCapped(t *testing.T) {
 	_, ts := newTestServerCfg(t, serveConfig{maxConcurrent: 2, solveTimeout: 50 * time.Millisecond})
 	start := time.Now()
 	resp, err := http.Post(ts.URL+"/solve", "application/json",
-		strings.NewReader(`{"arch":"6v","n":12,"timeout_seconds":60}`))
+		strings.NewReader(`{"arch":"6v","n":24,"timeout_seconds":60}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,16 +135,30 @@ func (out *Dense) MulInto(a, b *Dense) error {
 		return ErrDimensionMismatch
 	}
 	out.Zero()
+	n := out.cols
 	for i := 0; i < a.rows; i++ {
-		for k := 0; k < a.cols; k++ {
-			v := a.data[i*a.cols+k]
+		aRow := a.data[i*a.cols : (i+1)*a.cols]
+		outRow := out.data[i*n : (i+1)*n]
+		for k, v := range aRow {
 			if v == 0 {
 				continue
 			}
-			rowK := b.data[k*b.cols : (k+1)*b.cols]
-			outRow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, w := range rowK {
-				outRow[j] += v * w
+			rowK := b.data[k*n : (k+1)*n]
+			rowK = rowK[:len(outRow)]
+			// Unrolled 4-way with a scalar tail; each output element still
+			// accumulates its products in k order, so the result is
+			// bit-identical to the plain loop.
+			j := 0
+			for ; j+4 <= len(outRow); j += 4 {
+				o := outRow[j : j+4 : j+4]
+				w := rowK[j : j+4 : j+4]
+				o[0] += v * w[0]
+				o[1] += v * w[1]
+				o[2] += v * w[2]
+				o[3] += v * w[3]
+			}
+			for ; j < len(outRow); j++ {
+				outRow[j] += v * rowK[j]
 			}
 		}
 	}

@@ -20,9 +20,12 @@ var ErrNotConverged = errors.New("linalg: iterative solver did not converge")
 // sparse kernels' O(nnz) matvecs and O(n) memory dominate. The default was
 // chosen from the BENCH_scale.json curves: the CTMC steady state crosses
 // over at ~153 states and the transient series wins from the smallest
-// models, while the MRGP path is within 4% of parity at 176 states and
-// wins outright from 247 — so 160 sits in the tie band where no family
-// loses measurably and the fast-growing ones already win.
+// models, while the MRGP path under embedded power iteration was within 4%
+// of parity at 176 states and won outright from 247 — so 160 sits in the
+// tie band where no family loses measurably and the fast-growing ones
+// already win. The MRGP Krylov rung has since moved its crossover below
+// 70 states; the threshold is unchanged so the paper-scale models keep
+// their dense answers.
 var SparseThreshold = 160
 
 // GS iteration limits. The tolerance is on the L1 change of the iterate per

@@ -6,11 +6,13 @@ import "nvrel/internal/faultinject"
 // faultinject global gate (one atomic load, no allocation when chaos is
 // off).
 var (
-	// fiPowerStall forces the sparse embedded-chain power iteration to
-	// give up mid-solve with a typed not-converged error, exercising the
-	// sparse -> dense recovery fallback.
+	// fiKrylovStall forces the Krylov rung to give up mid-solve with a
+	// typed not-converged error, exercising the sparse -> power fallback.
+	fiKrylovStall = faultinject.SiteFor("mrgp.krylov.stall")
+	// fiPowerStall does the same to the power rung; armed together with
+	// fiKrylovStall it exercises the sparse -> power -> dense ladder.
 	fiPowerStall = faultinject.SiteFor("mrgp.power.stall")
-	// fiMrgpPanic panics inside the embedded-chain cycle loop, exercising
-	// the recover-and-fall-back layer of Solve.
+	// fiMrgpPanic panics before a P application on either sparse rung,
+	// exercising the recover-and-fall-back layer of Solve.
 	fiMrgpPanic = faultinject.SiteFor("mrgp.kernel.panic")
 )

@@ -121,8 +121,10 @@ type SolveDiag struct {
 	// PowerIters is the iteration count of the uniformized power rung when
 	// it produced the result (zero when power never ran or failed; failed
 	// power attempts record their count in Attempts). On an MRGP solve it
-	// carries the embedded-chain power cycles (mrgp.Solution.Cycles, zero
-	// on the dense path), so Iterations measures both solvers uniformly.
+	// carries the applications of the embedded chain P by the sparse rung
+	// that answered (mrgp.Solution.Cycles: Krylov steps or power cycles,
+	// zero on the dense path), so Iterations measures both solvers
+	// uniformly.
 	PowerIters int
 
 	// Seeded reports whether the iterative kernel that produced the result

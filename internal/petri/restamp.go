@@ -66,15 +66,18 @@ func (g *Graph) Restamp(net *Net) (*Graph, error) {
 		e.Rate = net.rateOf(e.Via, g.Markings[e.From]) * e.Prob
 		out.Exp[i] = e
 	}
+	// One backing slab for the schedules instead of one allocation each.
+	scheds := make([]DetSchedule, len(g.Det))
 	for i, sched := range g.Det {
 		if sched == nil {
 			continue
 		}
-		out.Det[i] = &DetSchedule{
+		scheds[i] = DetSchedule{
 			Transition: sched.Transition,
 			Delay:      net.transitions[sched.Transition].Delay,
 			Successors: sched.Successors,
 		}
+		out.Det[i] = &scheds[i]
 	}
 	metRestamps.Inc()
 	return out, nil

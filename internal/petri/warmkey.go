@@ -1,5 +1,7 @@
 package petri
 
+import "slices"
+
 // TopologyKey identifies the explored topology this graph was built on:
 // two graphs share a key exactly when one is a Restamp sibling of the
 // other (same marking set, state indices, and edge pattern — only rates
@@ -23,6 +25,7 @@ func (g *Graph) TopologyKey() any {
 // the warm-start registry uses it to pick the nearest already-solved
 // neighbor.
 func (g *Graph) RateSignature(dst []float64) []float64 {
+	dst = slices.Grow(dst, len(g.Exp)+len(g.Det))
 	for _, e := range g.Exp {
 		dst = append(dst, e.Rate)
 	}

@@ -240,6 +240,7 @@ func TestShadowRungMatrix(t *testing.T) {
 		{mrgp, petri.PathSparse, "mrgp-sparse", "mrgp-dense"},
 		{mrgp, petri.PathDense, "mrgp-dense", "mrgp-sparse"},
 		{mrgp, petri.PathSparseFallbackDense, "mrgp-dense", "mrgp-sparse"},
+		{mrgp, petri.PathSparseFallbackPower, "mrgp-power", "mrgp-dense"},
 		{general, petri.PathDense, "", ""},
 	}
 	for _, c := range cases {
