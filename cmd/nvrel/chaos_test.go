@@ -35,6 +35,9 @@ func TestCmdChaos(t *testing.T) {
 	sites := make(map[string]bool)
 	for _, r := range report.Results {
 		sites[r.Site] = true
+		for _, name := range r.Also {
+			sites[name] = true
+		}
 		if r.Fired == 0 {
 			t.Errorf("fault %s (%s) never fired", r.Site, r.Mode)
 		}
@@ -46,6 +49,13 @@ func TestCmdChaos(t *testing.T) {
 	}
 	if len(sites) < 8 {
 		t.Errorf("plan covers only %d distinct sites, want >= 8", len(sites))
+	}
+	// Every MRGP rung's site fires, the power stall included, although
+	// the power rung runs only after the Krylov rung failed.
+	for _, name := range []string{"mrgp.krylov.stall", "mrgp.power.stall", "mrgp.kernel.panic"} {
+		if !sites[name] {
+			t.Errorf("plan never arms %s", name)
+		}
 	}
 	if report.SilentWrong != 0 {
 		t.Errorf("silent_wrong = %d", report.SilentWrong)

@@ -58,6 +58,21 @@ func TestFireWindow(t *testing.T) {
 	}
 }
 
+// TestArmAlso: a fault arms its Also sites with the same window, and each
+// site counts its own firings.
+func TestArmAlso(t *testing.T) {
+	first := withInjection(t, Fault{Site: "test.also.first", Also: []string{"test.also.second"}, After: 2}, 1)
+	second := SiteFor("test.also.second")
+	for _, s := range []*Site{first, second} {
+		if s.Fire() || !s.Fire() || s.Fire() {
+			t.Errorf("%s did not fire on hit 2 alone", s.name)
+		}
+		if s.Fired() != 1 {
+			t.Errorf("%s Fired() = %d, want 1", s.name, s.Fired())
+		}
+	}
+}
+
 // TestCorruptModesAreDeterministic: each value mode rewrites exactly one
 // slot, and the same seed picks the same slot across runs.
 func TestCorruptModesAreDeterministic(t *testing.T) {
@@ -144,6 +159,7 @@ func TestPlanParseAndValidate(t *testing.T) {
 		`{"seed": 1}`,
 		`{"faults": [{"site": ""}]}`,
 		`{"faults": [{"site": "x", "mode": "melt"}]}`,
+		`{"faults": [{"site": "x", "also": [""]}]}`,
 		`not json`,
 	} {
 		if _, err := ParsePlan([]byte(bad)); err == nil {

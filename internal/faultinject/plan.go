@@ -25,7 +25,15 @@ type Fault struct {
 	Value float64 `json:"value,omitempty"`
 	// DelayMS is the Stall duration in milliseconds (default 50).
 	DelayMS int `json:"delay_ms,omitempty"`
+	// Also names further sites armed with the same mode, window and
+	// payload, for a failure path that only opens when several sites fire
+	// together (a fallback rung that runs only after an earlier rung
+	// failed).
+	Also []string `json:"also,omitempty"`
 }
+
+// Sites returns every site the fault arms: Site, then Also.
+func (f Fault) Sites() []string { return append([]string{f.Site}, f.Also...) }
 
 // Plan is a seeded set of faults. Plans are applied one fault at a time
 // by the chaos driver (Arm) so outcomes attribute cleanly, but nothing
@@ -59,6 +67,11 @@ func (p *Plan) Validate() error {
 		if _, ok := modeNames[f.Mode]; !ok {
 			return fmt.Errorf("faultinject: fault %d (%s): unknown mode %q", i, f.Site, f.Mode)
 		}
+		for _, name := range f.Also {
+			if name == "" {
+				return fmt.Errorf("faultinject: fault %d (%s): empty site in also", i, f.Site)
+			}
+		}
 		if f.After < 0 || f.Count < 0 {
 			return fmt.Errorf("faultinject: fault %d (%s): negative after/count", i, f.Site)
 		}
@@ -66,14 +79,22 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Arm configures and arms the fault's site. The site keeps its hit
-// counters from zero, so call Reset between fault runs. Injection still
-// requires the global Enable gate.
+// Arm configures and arms the fault's sites (Site and Also). Each site
+// keeps its hit counters from zero, so call Reset between fault runs.
+// Injection still requires the global Enable gate.
 func Arm(f Fault, seed int64) error {
 	if _, ok := modeNames[f.Mode]; !ok {
 		return fmt.Errorf("faultinject: unknown mode %q for site %s", f.Mode, f.Site)
 	}
-	s := SiteFor(f.Site)
+	for _, name := range f.Sites() {
+		arm(SiteFor(name), f, seed)
+	}
+	return nil
+}
+
+// arm configures and arms one site with f's mode, window and payload; the
+// slot stream is seeded per site name.
+func arm(s *Site, f Fault, seed int64) {
 	s.armed.Store(false)
 	s.mode = modeNames[f.Mode]
 	s.after = f.After
@@ -90,10 +111,9 @@ func Arm(f Fault, seed int64) error {
 	}
 	s.delay = time.Duration(f.DelayMS) * time.Millisecond
 	h := fnv.New64a()
-	h.Write([]byte(f.Site))
+	h.Write([]byte(s.name))
 	s.seed = uint64(seed) ^ h.Sum64()
 	s.hits.Store(0)
 	s.fired.Store(0)
 	s.armed.Store(true)
-	return nil
 }
